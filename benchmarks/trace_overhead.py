@@ -25,7 +25,8 @@ Usage::
         [--reps N] [--budget 0.03]
 
 The default budget (3%) is deliberately generous for CI noise: the
-interleaved min-vs-min estimator absorbs most scheduler jitter, and a
+interleaved min-vs-min estimator (the side that runs first alternates
+per rep) absorbs most scheduler jitter, and a
 genuine hot-path regression (a per-call timer where a sampled one
 belongs, say) overshoots 3% by an order of magnitude.
 """

@@ -65,15 +65,47 @@ _FLIPS = {
 }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Constraint:
-    """``expr rel 0`` over rational unknowns."""
+    """``expr rel 0`` over rational unknowns.
+
+    Constraints are memo keys throughout the verifier (FM satisfiability
+    and projection caches, canonical-key caches), so the hash is computed
+    once at construction, as for the symbolic store's nodes, and equality
+    short-circuits on identity."""
 
     expr: LinExpr
     rel: Rel
 
+    def __post_init__(self) -> None:
+        # frozen dataclass: object.__setattr__ sets these non-field memos
+        object.__setattr__(self, "_hash", hash((self.expr, self.rel)))
+        object.__setattr__(self, "_canonical", None)
+
+    def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
+        if not isinstance(other, Constraint):
+            return NotImplemented
+        return self.rel is other.rel and self.expr == other.expr
+
+    def __hash__(self) -> int:
+        return self._hash  # type: ignore[attr-defined]
+
+    def __reduce__(self):
+        # rebuild on unpickling: the cached hash is process-specific
+        return (Constraint, (self.expr, self.rel))
+
     def negate(self) -> "Constraint":
         return Constraint(self.expr, self.rel.negate())
+
+    def normal_form(self) -> "Constraint":
+        """``e >= 0`` / ``e > 0`` as ``-e <= 0`` / ``-e < 0``, the only
+        spelling Fourier–Motzkin works with; any other constraint is
+        returned as is (the same object)."""
+        if self.rel is Rel.GE or self.rel is Rel.GT:
+            return Constraint(-self.expr, self.rel.flip())
+        return self
 
     def rename(self, mapping: Mapping[Unknown, Unknown]) -> "Constraint":
         return Constraint(self.expr.rename(mapping), self.rel)
@@ -94,7 +126,7 @@ class Constraint:
         Memoized per instance: constraints are immutable and the verifier
         re-canonicalizes the same objects constantly while building store
         canonical keys."""
-        cached = getattr(self, "_canonical", None)
+        cached = self._canonical  # type: ignore[attr-defined]
         if cached is not None:
             return cached
         expr = self.expr
@@ -107,8 +139,6 @@ class Constraint:
                 rel = rel.flip()
             expr = expr / abs(coeff)
         result = Constraint(expr, rel)
-        # frozen dataclass: bypass the frozen __setattr__ for the memo slot
-        # (not a field, so eq/hash are unaffected)
         object.__setattr__(result, "_canonical", result)
         object.__setattr__(self, "_canonical", result)
         return result

@@ -66,21 +66,20 @@ class ConstraintSystem:
 def _normalize(constraints: Iterable[Constraint]) -> list[Constraint] | None:
     """Rewrite into {LT, LE, EQ, NE} forms; resolve constant constraints.
 
-    Returns None when a constant constraint is already violated.
+    Constraints already in normal form are returned as the same objects,
+    so memo keys built from the output reuse their cached hashes and
+    compare by identity.  Returns None when a constant constraint is
+    already violated.
     """
     out: list[Constraint] = []
     for constraint in constraints:
-        rel = constraint.rel
+        constraint = constraint.normal_form()
         expr = constraint.expr
-        if rel is Rel.GE:
-            rel, expr = Rel.LE, -expr
-        elif rel is Rel.GT:
-            rel, expr = Rel.LT, -expr
         if expr.is_constant:
-            if not rel.evaluate(expr.constant):
+            if not constraint.rel.evaluate(expr.constant):
                 return None
             continue
-        out.append(Constraint(expr, rel))
+        out.append(constraint)
     return out
 
 

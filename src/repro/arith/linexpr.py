@@ -1,8 +1,17 @@
 """Exact linear expressions over named unknowns.
 
-A :class:`LinExpr` is an immutable mapping ``unknown -> Fraction`` plus a
-constant term.  Unknowns are arbitrary hashable objects — the verifier uses
-numeric artifact variables and navigation expressions as unknowns.
+A :class:`LinExpr` is an immutable mapping ``unknown -> coefficient`` plus
+a constant term.  Unknowns are arbitrary hashable objects — the verifier
+uses numeric artifact variables and navigation expressions as unknowns.
+
+Coefficients and the constant are exact rationals held in one normal
+form (:func:`_normal`): integral values are plain ``int`` and only
+non-integral values are ``Fraction``.  ``int`` and ``Fraction`` agree on
+``==``, ``hash`` and ``str`` for integral values, so the representation
+is invisible to equality, hashing and rendering — it only keeps the
+integral common case off ``Fraction``'s slow arithmetic.  Division still
+goes through ``Fraction``, and :meth:`LinExpr.evaluate` returns a
+``Fraction``.
 """
 
 from __future__ import annotations
@@ -14,15 +23,24 @@ Unknown = Hashable
 Coefficient = int | float | Fraction
 
 
-def _coerce(value: Coefficient) -> Fraction:
-    if isinstance(value, Fraction):
+def _normal(value: int | Fraction) -> int | Fraction:
+    """The normal form of an exact rational: ``int`` when integral."""
+    if value.__class__ is int or value.denominator != 1:
         return value
+    return value.numerator
+
+
+def _coerce(value: Coefficient) -> int | Fraction:
+    if value.__class__ is int:
+        return value
+    if isinstance(value, Fraction):
+        return _normal(value)
     if isinstance(value, bool):  # guard against accidental booleans
         raise TypeError("boolean is not a coefficient")
     if isinstance(value, int):
-        return Fraction(value)
+        return int(value)
     if isinstance(value, float):
-        return Fraction(value).limit_denominator(10**12)
+        return _normal(Fraction(value).limit_denominator(10**12))
     raise TypeError(f"cannot use {value!r} as a coefficient")
 
 
@@ -39,20 +57,22 @@ class LinExpr:
         items = {}
         if coeffs:
             for unknown, coeff in coeffs.items():
-                frac = _coerce(coeff)
-                if frac != 0:
-                    items[unknown] = frac
-        self._coeffs: dict[Unknown, Fraction] = items
+                value = _coerce(coeff)
+                if value != 0:
+                    items[unknown] = value
+        self._coeffs: dict[Unknown, int | Fraction] = items
         self._constant = _coerce(constant)
         self._hash: int | None = None
         self._unknowns: frozenset[Unknown] | None = None
 
     @classmethod
-    def _raw(cls, coeffs: dict[Unknown, Fraction], constant: Fraction) -> "LinExpr":
+    def _raw(
+        cls, coeffs: dict[Unknown, int | Fraction], constant: int | Fraction
+    ) -> "LinExpr":
         """Trusted constructor for the hot algebraic paths: ``coeffs`` must
-        already be a private dict of non-zero ``Fraction`` values and
-        ``constant`` a ``Fraction``.  Skips coercion and zero-filtering —
-        the arithmetic below guarantees both invariants."""
+        already be a private dict of non-zero values and every value,
+        ``constant`` included, in :func:`_normal` form.  Skips coercion and
+        zero-filtering — the arithmetic below guarantees both invariants."""
         expr = cls.__new__(cls)
         expr._coeffs = coeffs
         expr._constant = constant
@@ -62,15 +82,15 @@ class LinExpr:
 
     # ------------------------------------------------------------------
     @property
-    def constant(self) -> Fraction:
+    def constant(self) -> int | Fraction:
         return self._constant
 
     @property
-    def coeffs(self) -> Mapping[Unknown, Fraction]:
+    def coeffs(self) -> Mapping[Unknown, int | Fraction]:
         return dict(self._coeffs)
 
-    def coefficient(self, unknown: Unknown) -> Fraction:
-        return self._coeffs.get(unknown, Fraction(0))
+    def coefficient(self, unknown: Unknown) -> int | Fraction:
+        return self._coeffs.get(unknown, 0)
 
     @property
     def unknowns(self) -> frozenset[Unknown]:
@@ -88,14 +108,8 @@ class LinExpr:
     def __add__(self, other: "LinExpr | Coefficient") -> "LinExpr":
         other = to_linexpr(other)
         coeffs = dict(self._coeffs)
-        for unknown, coeff in other._coeffs.items():
-            merged = coeffs.get(unknown)
-            merged = coeff if merged is None else merged + coeff
-            if merged == 0:
-                coeffs.pop(unknown, None)
-            else:
-                coeffs[unknown] = merged
-        return LinExpr._raw(coeffs, self._constant + other._constant)
+        _merge_into(coeffs, other._coeffs.items())
+        return LinExpr._raw(coeffs, _normal(self._constant + other._constant))
 
     __radd__ = __add__
 
@@ -111,18 +125,20 @@ class LinExpr:
         return to_linexpr(other) + (-self)
 
     def __mul__(self, scalar: Coefficient) -> "LinExpr":
-        frac = _coerce(scalar)
-        if frac == 0:
-            return LinExpr._raw({}, Fraction(0))
+        factor = _coerce(scalar)
+        if factor == 0:
+            return LinExpr._raw({}, 0)
+        # a Fraction times an int can be integral too, so every product
+        # is normalized, not only those with a Fraction factor
         return LinExpr._raw(
-            {u: c * frac for u, c in self._coeffs.items()}, self._constant * frac
+            {u: _normal(c * factor) for u, c in self._coeffs.items()},
+            _normal(self._constant * factor),
         )
 
     __rmul__ = __mul__
 
     def __truediv__(self, scalar: Coefficient) -> "LinExpr":
-        frac = _coerce(scalar)
-        return self * (Fraction(1) / frac)
+        return self * (Fraction(1) / _coerce(scalar))
 
     def substitute(self, assignment: Mapping[Unknown, "LinExpr | Coefficient"]) -> "LinExpr":
         """Replace unknowns by expressions (or constants)."""
@@ -136,33 +152,23 @@ class LinExpr:
 
     def rename(self, mapping: Mapping[Unknown, Unknown]) -> "LinExpr":
         """Rename unknowns; unknowns not in the mapping are kept."""
-        coeffs: dict[Unknown, Fraction] = {}
-        for unknown, coeff in self._coeffs.items():
-            target = mapping.get(unknown, unknown)
-            merged = coeffs.get(target)
-            merged = coeff if merged is None else merged + coeff
-            if merged == 0:
-                coeffs.pop(target, None)
-            else:
-                coeffs[target] = merged
+        coeffs: dict[Unknown, int | Fraction] = {}
+        _merge_into(
+            coeffs,
+            ((mapping.get(u, u), c) for u, c in self._coeffs.items()),
+        )
         return LinExpr._raw(coeffs, self._constant)
 
     def evaluate(self, valuation: Mapping[Unknown, Coefficient]) -> Fraction:
         total = self._constant
         for unknown, coeff in self._coeffs.items():
             total += coeff * _coerce(valuation[unknown])
-        return total
-
-    def normalized(self) -> "LinExpr":
-        """Scale so the leading coefficient (in sorted unknown order) is 1;
-        used for canonical hashing of constraints up to positive scaling."""
-        if not self._coeffs:
-            return self
-        lead = sorted(self._coeffs, key=repr)[0]
-        return self / self._coeffs[lead]
+        return Fraction(total)
 
     # ------------------------------------------------------------------
     def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
         if not isinstance(other, LinExpr):
             return NotImplemented
         return self._constant == other._constant and self._coeffs == other._coeffs
@@ -174,6 +180,10 @@ class LinExpr:
             )
         return self._hash
 
+    def __reduce__(self):
+        # rebuild on unpickling: the cached hash is process-specific
+        return (LinExpr, (self._coeffs, self._constant))
+
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         parts = []
         for unknown in sorted(self._coeffs, key=repr):
@@ -182,6 +192,24 @@ class LinExpr:
         if self._constant != 0 or not parts:
             parts.append(str(self._constant))
         return " + ".join(str(p) for p in parts)
+
+
+def _merge_into(
+    coeffs: dict[Unknown, int | Fraction],
+    items: Iterable[tuple[Unknown, int | Fraction]],
+) -> None:
+    """Add ``(unknown, coefficient)`` pairs into ``coeffs`` in place,
+    dropping coefficients that cancel to zero."""
+    for unknown, coeff in items:
+        merged = coeffs.get(unknown)
+        if merged is None:
+            coeffs[unknown] = coeff
+            continue
+        merged += coeff
+        if merged == 0:
+            del coeffs[unknown]
+        else:
+            coeffs[unknown] = _normal(merged)
 
 
 def to_linexpr(value: "LinExpr | Coefficient") -> LinExpr:
@@ -197,10 +225,3 @@ def var(unknown: Unknown) -> LinExpr:
 
 def const(value: Coefficient) -> LinExpr:
     return LinExpr({}, value)
-
-
-def linear_combination(terms: Iterable[tuple[Coefficient, Unknown]], constant: Coefficient = 0) -> LinExpr:
-    coeffs: dict[Unknown, Fraction] = {}
-    for coeff, unknown in terms:
-        coeffs[unknown] = coeffs.get(unknown, Fraction(0)) + _coerce(coeff)
-    return LinExpr(coeffs, constant)

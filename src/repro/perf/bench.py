@@ -35,7 +35,7 @@ import sys
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator
 
 from repro.database.fkgraph import SchemaClass
 from repro.errors import BudgetExceeded, ReproError
@@ -480,6 +480,16 @@ def run_family(name: str, reps: int = 3) -> dict:
     }
 
 
+def _alternating(modes: tuple[str, str], reps: int) -> Iterator[tuple[str, str]]:
+    """The run order of each rep of an interleaved A/B overhead
+    measurement: the side that runs first alternates from rep to rep, so
+    neither side always pays (or is always spared) what a rep's first
+    run pays, such as a cold interpreter or allocator state."""
+    first, second = modes
+    for rep in range(max(1, reps)):
+        yield (first, second) if rep % 2 == 0 else (second, first)
+
+
 def measure_trace_overhead(
     family: str = "travel-lite", reps: int = 3
 ) -> dict:
@@ -487,7 +497,8 @@ def measure_trace_overhead(
 
     Runs ``reps`` interleaved (untraced, traced) pairs — interleaving
     cancels thermal/cache drift that back-to-back blocks would bake into
-    one side — and compares best-of-``reps`` walls (min vs min, the same
+    one side, and the side that runs first alternates per rep — and
+    compares best-of-``reps`` walls (min vs min, the same
     estimator ``run_family`` uses).  The traced side writes real JSONL to
     a scratch sink, so the cost of serialization is included.
 
@@ -506,8 +517,8 @@ def measure_trace_overhead(
 
     untraced: list[float] = []
     traced: list[float] = []
-    for _rep in range(max(1, reps)):
-        for mode in ("untraced", "traced"):
+    for order in _alternating(("untraced", "traced"), reps):
+        for mode in order:
             fm.clear_caches()
             symbolic_store.clear_canonical_caches()
             if mode == "traced":
@@ -552,8 +563,8 @@ def measure_attribution_overhead(
     disabled: list[float] = []
     enabled: list[float] = []
     try:
-        for _rep in range(max(1, reps)):
-            for mode in ("disabled", "enabled"):
+        for order in _alternating(("disabled", "enabled"), reps):
+            for mode in order:
                 fm.clear_caches()
                 symbolic_store.clear_canonical_caches()
                 ATTRIBUTION.enabled = mode == "enabled"
@@ -596,8 +607,8 @@ def measure_coverage_overhead(
     enabled: list[float] = []
     was = COVERAGE.enabled
     try:
-        for _rep in range(max(1, reps)):
-            for mode in ("disabled", "enabled"):
+        for order in _alternating(("disabled", "enabled"), reps):
+            for mode in order:
                 fm.clear_caches()
                 symbolic_store.clear_canonical_caches()
                 COVERAGE.enabled = mode == "enabled"

@@ -20,6 +20,8 @@ from repro.logic.conditions import (
     Eq,
     Not,
     RelationAtom,
+    eliminate_single_atom_exists,
+    nnf_condition,
 )
 from repro.logic.terms import Const, NullTerm, Term, Variable, WildcardTerm
 from repro.symbolic.nodes import NULL, Node
@@ -82,10 +84,7 @@ def apply_condition(
     atoms of the matrix constrain to database rows — the symbolic analogue
     of the paper's "simulate ∃FO by adding variables".
     """
-    from repro.logic.conditions import eliminate_single_atom_exists, nnf_condition
-
-    condition = eliminate_single_atom_exists(condition)
-    bound, matrix = pull_exists(condition)
+    bound, matrix = _plan(condition)
     if bound:
         scratch = store.copy()
         saved = {
@@ -103,12 +102,35 @@ def apply_condition(
             yield refined
         return
     seen_keys: set = set()
-    for branch in _apply_nnf(store.copy(), nnf_condition(matrix)):
+    for branch in _apply_nnf(store.copy(), matrix):
         if branch.is_consistent():
             key = branch.canonical_key()
             if key not in seen_keys:
                 seen_keys.add(key)
                 yield branch
+
+
+def _plan(condition: Condition) -> tuple[tuple[Variable, ...], Condition]:
+    """``condition`` rewritten for application: ``(bound, matrix)`` with
+    the top-level existentials hoisted into ``bound``, and the matrix in
+    NNF when nothing is bound (a bound matrix is planned again by the
+    recursive :func:`apply_condition` call that applies it).
+
+    The rewrite (``eliminate_single_atom_exists → pull_exists →
+    nnf_condition``) is a pure function of an immutable condition, and
+    service, guard and property conditions are applied at every
+    expansion, so it runs once per condition object: the plan is
+    memoized on the object itself, as ``Constraint.canonical()`` is.  A
+    condition whose rewrite raises (∃ under ¬) stores nothing and raises
+    again on every call."""
+    plan = condition.__dict__.get("_apply_plan")
+    if plan is None:
+        bound, matrix = pull_exists(eliminate_single_atom_exists(condition))
+        plan = (bound, matrix) if bound else ((), nnf_condition(matrix))
+        # conditions are frozen: bypass the frozen __setattr__ (the memo
+        # is not a field, so eq/hash are unaffected)
+        object.__setattr__(condition, "_apply_plan", plan)
+    return plan
 
 
 def _apply_nnf(store: ConstraintStore, condition: Condition) -> list[ConstraintStore]:

@@ -79,9 +79,21 @@ class NavNode(Node):
         return f"{self.base!r}.{self.attr}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ConstNode(Node):
     value: Fraction
+
+    def __post_init__(self) -> None:
+        # the value the generated dataclass hash would compute, once
+        object.__setattr__(self, "_hash", hash((self.value,)))
+
+    def __eq__(self, other: object) -> bool:
+        return self is other or (
+            isinstance(other, ConstNode) and self.value == other.value
+        )
+
+    def __hash__(self) -> int:
+        return self._hash  # type: ignore[attr-defined]
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return str(self.value)

@@ -446,14 +446,24 @@ class ConstraintStore:
 
     def add_constraint(self, constraint: Constraint) -> None:
         """Record a linear constraint; satisfiability is checked lazily at
-        the next :meth:`is_consistent` / :meth:`equal` query."""
+        the next :meth:`is_consistent` / :meth:`equal` query.
+
+        A non-constant ``e >= 0`` / ``e > 0`` is stored in its
+        :meth:`~repro.arith.constraints.Constraint.normal_form`
+        ``-e <= 0`` / ``-e < 0``, so FM passes the stored object through
+        unchanged.  The canonical key cannot tell the two apart:
+        ``Constraint.canonical()`` maps both to the same constraint.  It
+        does not scale constant constraints, so those keep their
+        spelling."""
         self._canon_cache = None
+        if not constraint.expr.is_constant:
+            constraint = constraint.normal_form()
         self._numeric.append(constraint)
         self._numeric_dirty = True
 
     def add_linear(self, expr: LinExpr, rel: Rel) -> None:
         """Add ``expr rel 0`` where unknowns are (possibly stale) nodes."""
-        mapping: dict[Node, Fraction] = {}
+        mapping: dict[Node, int | Fraction] = {}
         constant = expr.constant
         for unknown, coeff in expr.coeffs.items():
             assert isinstance(unknown, Node)
@@ -461,7 +471,7 @@ class ConstraintStore:
             if isinstance(root, ConstNode):
                 constant += coeff * root.value
             else:
-                mapping[root] = mapping.get(root, Fraction(0)) + coeff
+                mapping[root] = mapping.get(root, 0) + coeff
         self.add_constraint(Constraint(LinExpr(mapping, constant), rel))
 
     def numeric_constraints(self) -> list[Constraint]:
@@ -756,7 +766,7 @@ class ConstraintStore:
                 renamed = constraint.rename(
                     {u: trans[u] for u in constraint.unknowns}
                 )
-                mapping: dict[Node, Fraction] = {}
+                mapping: dict[Node, int | Fraction] = {}
                 constant = renamed.expr.constant
                 for unknown, coeff in renamed.expr.coeffs.items():
                     assert isinstance(unknown, Node)
@@ -764,7 +774,7 @@ class ConstraintStore:
                     if isinstance(root2, ConstNode):
                         constant += coeff * root2.value
                     else:
-                        mapping[root2] = mapping.get(root2, Fraction(0)) + coeff
+                        mapping[root2] = mapping.get(root2, 0) + coeff
                 self.add_constraint(
                     Constraint(LinExpr(mapping, constant), renamed.rel)
                 )

@@ -127,6 +127,33 @@ class StepTag:
     retrieved: TSType | None = None
 
 
+def _letter_plan(transition: Transition) -> tuple:
+    """``(payload, required, condition)`` per literal of the transition,
+    in the canonical (repr-sorted) order :meth:`TaskVASS._match_letter`
+    checks them; ``condition`` is the condition a :class:`CondProp`
+    literal applies (negated when the literal is negative), None for
+    other payloads.
+
+    Built once per transition and memoized on the (frozen) transition
+    object: the negation is then the same ``Not`` object on every call,
+    so the rewrite plan that ``apply_condition`` memoizes on it is
+    reused too."""
+    plan = transition.__dict__.get("_letter_plan")
+    if plan is None:
+        plan = tuple(
+            (
+                payload,
+                required,
+                (payload.condition if required else Not(payload.condition))
+                if isinstance(payload, CondProp)
+                else None,
+            )
+            for payload, required in sorted(transition.literals, key=repr)
+        )
+        object.__setattr__(transition, "_letter_plan", plan)
+    return plan
+
+
 class TaskVASS:
     """Implicit VASS for one task under one automaton B(T, β)."""
 
@@ -297,7 +324,7 @@ class TaskVASS:
         """Refinements of ``store`` under which the letter
         (store-as-instance, service) satisfies the transition's literals."""
         branches = [store]
-        for payload, required in sorted(transition.literals, key=lambda kv: repr(kv)):
+        for payload, required, condition in _letter_plan(transition):
             if isinstance(payload, ServiceProp):
                 if (payload.ref == service) is not required:
                     return
@@ -311,10 +338,7 @@ class TaskVASS:
                     value = bool(open_beta.get(payload.spec, False))
                 if value is not required:
                     return
-            elif isinstance(payload, CondProp):
-                condition = (
-                    payload.condition if required else Not(payload.condition)
-                )
+            elif condition is not None:
                 refined: list[ConstraintStore] = []
                 for branch in branches:
                     refined.extend(

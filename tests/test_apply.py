@@ -125,10 +125,15 @@ class TestExists:
         assert c not in refined.bound_variables()
 
     def test_negated_exists_rejected(self, store):
+        """On every call, not only the first: a rewrite that raises
+        leaves no memoized plan behind."""
         c = id_var("c")
-        cond = Not(Exists((c,), Eq(c, x)))
-        with pytest.raises(ConditionError):
-            refinements(store, cond)
+        negated = Not(Exists((c,), Eq(c, x)))
+        for cond in (negated, And(Eq(x, y), negated)):
+            for _ in range(3):
+                with pytest.raises(ConditionError):
+                    refinements(store.copy(), cond)
+            assert "_apply_plan" not in cond.__dict__
 
 
 class TestConditionStatus:

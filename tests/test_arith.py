@@ -1,7 +1,9 @@
 """Arithmetic substrate: linear expressions, Fourier–Motzkin, cells.
 
 Includes hypothesis cross-checks of FM satisfiability against sampled
-witnesses — FM claims SAT iff a rational witness exists.
+witnesses — FM claims SAT iff a rational witness exists — and of
+LinExpr's int-or-Fraction representation against plain Fraction
+arithmetic.
 """
 
 from fractions import Fraction
@@ -49,6 +51,165 @@ class TestLinExpr:
 
     def test_zero_coefficients_dropped(self):
         assert (x - x).is_constant
+
+
+# ----------------------------------------------------------------------
+# LinExpr against a pure-Fraction reference
+# ----------------------------------------------------------------------
+# LinExpr holds integral values as int and only non-integral ones as
+# Fraction.  The reference below is the plain rational arithmetic that
+# representation must be indistinguishable from: ``(coeffs, constant)``
+# with Fraction values and zero coefficients dropped.
+
+REF_UNKNOWNS = ("x", "y", "z", "w")
+RATIONALS = st.fractions(min_value=-6, max_value=6, max_denominator=4)
+NONZERO_RATIONALS = RATIONALS.filter(lambda value: value != 0)
+
+
+@st.composite
+def spelled(draw, value_strategy=RATIONALS):
+    """A rational and the way a caller spells it: integral values come
+    as int or as Fraction at random, so both inputs are exercised."""
+    value = draw(value_strategy)
+    if value.denominator == 1 and draw(st.booleans()):
+        return value, int(value)
+    return value, value
+
+
+@st.composite
+def linexprs_with_reference(draw):
+    ref_coeffs: dict[str, Fraction] = {}
+    given: dict[str, object] = {}
+    for unknown in draw(st.sets(st.sampled_from(REF_UNKNOWNS), max_size=4)):
+        value, spelling = draw(spelled())
+        given[unknown] = spelling
+        if value != 0:
+            ref_coeffs[unknown] = value
+    constant, spelling = draw(spelled())
+    return LinExpr(given, spelling), (ref_coeffs, constant)
+
+
+def _ref_add(left, right):
+    coeffs = dict(left[0])
+    for unknown, value in right[0].items():
+        coeffs[unknown] = coeffs.get(unknown, Fraction(0)) + value
+    return (
+        {u: c for u, c in coeffs.items() if c != 0},
+        left[1] + right[1],
+    )
+
+
+def _ref_scale(ref, factor: Fraction):
+    return (
+        {u: c * factor for u, c in ref[0].items() if c * factor != 0},
+        ref[1] * factor,
+    )
+
+
+def _is_normal(value) -> bool:
+    return type(value) is int or (
+        type(value) is Fraction and value.denominator != 1
+    )
+
+
+def assert_matches(expr: LinExpr, ref) -> None:
+    coeffs, constant = ref
+    assert expr.coeffs == coeffs
+    assert expr.constant == constant
+    assert all(_is_normal(v) for v in (*expr.coeffs.values(), expr.constant))
+    # the same expression built from Fractions only is equal and hashes
+    # equal: the int representation is invisible to dict/set keys
+    as_fractions = LinExpr(coeffs, constant)
+    assert expr == as_fractions and hash(expr) == hash(as_fractions)
+
+
+class TestLinExprReference:
+    @given(linexprs_with_reference(), linexprs_with_reference())
+    @settings(max_examples=200, deadline=None)
+    def test_add_sub_neg(self, left, right):
+        (a, ref_a), (b, ref_b) = left, right
+        assert_matches(a, ref_a)
+        assert_matches(a + b, _ref_add(ref_a, ref_b))
+        assert_matches(-a, _ref_scale(ref_a, Fraction(-1)))
+        assert_matches(a - b, _ref_add(ref_a, _ref_scale(ref_b, Fraction(-1))))
+
+    @given(linexprs_with_reference(), spelled(), spelled(NONZERO_RATIONALS))
+    @settings(max_examples=200, deadline=None)
+    def test_mul_div(self, pair, factor, divisor):
+        expr, ref = pair
+        (factor_value, factor_given) = factor
+        (divisor_value, divisor_given) = divisor
+        assert_matches(expr * factor_given, _ref_scale(ref, factor_value))
+        assert_matches(factor_given * expr, _ref_scale(ref, factor_value))
+        assert_matches(expr / divisor_given, _ref_scale(ref, 1 / divisor_value))
+
+    @given(
+        linexprs_with_reference(),
+        st.dictionaries(
+            st.sampled_from(REF_UNKNOWNS), st.sampled_from(REF_UNKNOWNS)
+        ),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_rename(self, pair, mapping):
+        expr, ref = pair
+        renamed: tuple = ({}, ref[1])
+        for unknown, value in ref[0].items():
+            renamed = _ref_add(renamed, ({mapping.get(unknown, unknown): value}, 0))
+        assert_matches(expr.rename(mapping), renamed)
+
+    @given(
+        linexprs_with_reference(),
+        st.dictionaries(
+            st.sampled_from(REF_UNKNOWNS),
+            st.one_of(linexprs_with_reference(), spelled()),
+            max_size=3,
+        ),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_substitute(self, pair, assignment):
+        expr, ref = pair
+        given_assignment = {}
+        expected: tuple = ({}, ref[1])
+        for unknown, value in ref[0].items():
+            if unknown in assignment:
+                replacement, replacement_ref = assignment[unknown]
+                if isinstance(replacement, LinExpr):
+                    given_assignment[unknown] = replacement
+                else:  # a scalar: (value, spelling)
+                    given_assignment[unknown] = replacement_ref
+                    replacement_ref = ({}, replacement)
+                expected = _ref_add(expected, _ref_scale(replacement_ref, value))
+            else:
+                expected = _ref_add(expected, ({unknown: value}, 0))
+        assert_matches(expr.substitute(given_assignment), expected)
+
+    @given(
+        linexprs_with_reference(),
+        st.tuples(*(spelled() for _ in REF_UNKNOWNS)),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_evaluate_is_an_exact_fraction(self, pair, values):
+        expr, ref = pair
+        valuation = {u: given for u, (_, given) in zip(REF_UNKNOWNS, values)}
+        exact = {u: value for u, (value, _) in zip(REF_UNKNOWNS, values)}
+        expected = ref[1] + sum(c * exact[u] for u, c in ref[0].items())
+        result = expr.evaluate(valuation)
+        assert type(result) is Fraction  # never an int, never a float
+        assert result == expected
+        # the quotient _pick_value takes stays exact
+        assert type(result / 3) is Fraction
+
+    def test_int_and_fraction_spellings_agree(self):
+        from_ints = LinExpr({"x": 3, "y": -2}, 4)
+        from_fractions = LinExpr(
+            {"x": Fraction(3), "y": Fraction(-4, 2)}, Fraction(8, 2)
+        )
+        assert from_ints == from_fractions
+        assert hash(from_ints) == hash(from_fractions)
+        assert repr(from_ints) == repr(from_fractions)
+        assert type(from_fractions.coefficient("x")) is int
+        assert type((x / 2).coefficient("x")) is Fraction
+        assert type((x / 2 * 2).coefficient("x")) is int
 
 
 class TestSatisfiability:
@@ -130,11 +291,14 @@ class TestSampling:
 @st.composite
 def small_constraints(draw):
     unknowns = ["x", "y", "z"]
+    coefficients = spelled(st.fractions(min_value=-3, max_value=3, max_denominator=3))
     coeffs = {
-        u: Fraction(draw(st.integers(min_value=-3, max_value=3)))
+        u: draw(coefficients)[1]
         for u in draw(st.sets(st.sampled_from(unknowns), min_size=1, max_size=3))
     }
-    constant = Fraction(draw(st.integers(min_value=-5, max_value=5)))
+    constant = draw(
+        spelled(st.fractions(min_value=-5, max_value=5, max_denominator=2))
+    )[1]
     rel = draw(st.sampled_from([Rel.LE, Rel.LT, Rel.EQ, Rel.NE, Rel.GE, Rel.GT]))
     return Constraint(LinExpr(coeffs, constant), rel)
 
@@ -146,6 +310,9 @@ class TestFMProperties:
         sat = is_satisfiable(constraints)
         sample = sample_solution(constraints)
         if sample is not None:
+            # integral coefficients are ints: _pick_value's divisions
+            # must still yield exact Fractions, never floats (or ints)
+            assert all(type(v) is Fraction for v in sample.values())
             full = {u: sample.get(u, Fraction(0)) for u in ("x", "y", "z")}
             assert all(c.holds(full) for c in constraints)
             assert sat

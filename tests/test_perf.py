@@ -8,6 +8,9 @@ uncached code.  These tests pin that down —
 * a mutated-then-rekeyed :class:`ConstraintStore` never serves a stale
   canonical key (dirty-bit invalidation, property-tested over random
   assertion sequences);
+* storing ``e >= 0`` / ``e > 0`` as ``-e <= 0`` / ``-e < 0`` changes no
+  canonical key or consistency verdict, and a condition's memoized
+  rewrite plan yields the same branches as recomputing it;
 * Fourier–Motzkin projection with the cache enabled equals projection
   with it disabled on randomized systems, and the component-wise
   satisfiability decision equals the monolithic one;
@@ -29,6 +32,8 @@ from repro.arith.constraints import Constraint, Rel
 from repro.arith.linexpr import LinExpr, var
 from repro.database.fkgraph import SchemaClass
 from repro.database.schema import DatabaseSchema, Relation, foreign_key, numeric
+from repro.errors import ConditionError
+from repro.logic.conditions import Not
 from repro.logic.terms import id_var, num_var
 from repro.perf.bench import (
     compare_records,
@@ -40,11 +45,12 @@ from repro.perf.bench import (
 )
 from repro.perf.counters import COUNTERS, PerfCounters
 from repro.service.serialize import from_dict, to_dict
+from repro.symbolic.apply import apply_condition
 from repro.symbolic.store import ConstraintStore, Inconsistent, clear_canonical_caches
 from repro.verifier import Verifier, VerifierConfig
 from repro.workloads import table1_workload
 
-from tests.test_store_properties import SCHEMA, apply_ops, op_sequences
+from tests.test_store_properties import IDS, NUMS, SCHEMA, apply_ops, op_sequences
 
 # ----------------------------------------------------------------------
 # canonical-key staleness
@@ -117,6 +123,105 @@ class TestCanonicalKeyFreshness:
             assert recomputed.canonical_key() == key, f"mutation {index}"
             seen.add(key)
         assert len(seen) > 2  # the sequence genuinely changed the store
+
+
+# ----------------------------------------------------------------------
+# hot-path representation: stored relation form, condition plans
+# ----------------------------------------------------------------------
+
+
+@st.composite
+def ge_gt_constraints(draw):
+    """``(coefficient of a, coefficient of b, constant, rel)`` for a
+    non-constant ``e >= 0`` / ``e > 0`` over the numeric variables."""
+    nonzero = st.integers(min_value=-3, max_value=3).filter(bool)
+    return (
+        draw(nonzero),
+        draw(st.integers(min_value=-3, max_value=3)),
+        draw(st.fractions(min_value=-4, max_value=4, max_denominator=3)),
+        draw(st.sampled_from([Rel.GE, Rel.GT])),
+    )
+
+
+class TestStoredRelationForm:
+    @given(op_sequences(), ge_gt_constraints())
+    @settings(max_examples=150, deadline=None)
+    def test_ge_gt_and_negated_le_lt_are_indistinguishable(self, ops, drawn):
+        """``add_constraint`` stores ``e >= 0`` / ``e > 0`` as ``-e <= 0``
+        / ``-e < 0``.  A store given either spelling, and a store holding
+        the constraint exactly as given (the representation before the
+        rewrite), must agree on canonical key and consistency — also
+        after restrict, whose FM projection sees the two lists."""
+        a, b = NUMS
+        ca, cb, constant, rel = drawn
+        base = ConstraintStore(SCHEMA)
+        if not apply_ops(base, ops):
+            return
+        expr = LinExpr({base.node_of(a): ca, base.node_of(b): cb}, constant)
+        given_ge = base.copy()
+        given_ge.add_linear(expr, rel)
+        given_le = base.copy()
+        given_le.add_linear(-expr, rel.flip())
+        as_given = base.copy()
+        as_given._numeric.append(Constraint(expr, rel))
+        as_given._numeric_dirty = True
+        as_given._canon_cache = None
+
+        stores = (given_ge, given_le, as_given)
+        assert len({s.canonical_key() for s in stores}) == 1
+        assert len({s.is_consistent() for s in stores}) == 1
+        if given_ge.is_consistent():
+            restricted = [s.restrict([a, IDS[0]]) for s in stores]
+            assert len({s.canonical_key() for s in restricted}) == 1
+
+
+def _gallery_conditions():
+    """Every service, guard and precondition of the gallery systems,
+    each with its negation (the NNF rewrite's other half)."""
+    from repro.service.suites import build_suite
+
+    seen = {}
+    for job in build_suite("gallery"):
+        has = job.has
+        if has.name in seen:
+            continue
+        conditions = [has.precondition]
+        for task in has.tasks():
+            conditions += [task.opening.pre, task.closing.pre]
+            for service in task.services:
+                conditions += [service.pre, service.post]
+        seen[has.name] = (has.database, conditions)
+    for schema, conditions in seen.values():
+        for condition in conditions:
+            yield schema, condition
+            yield schema, Not(condition)
+
+
+def _branch_keys(schema, condition):
+    try:
+        return [
+            branch.canonical_key()
+            for branch in apply_condition(ConstraintStore(schema), condition)
+        ]
+    except ConditionError as error:
+        return ("raises", str(error))
+
+
+class TestConditionPlanInvisibility:
+    def test_warm_plan_matches_recomputed_rewrite(self):
+        """``apply_condition`` memoizes its rewrite on the condition.
+        Applying a condition whose plan is warm must yield the same
+        branch keys, in the same order, as an equal condition object
+        built afresh (``rename({})`` copies the tree), whose rewrite is
+        recomputed."""
+        checked = 0
+        for schema, condition in _gallery_conditions():
+            cold = _branch_keys(schema, condition.rename({}))
+            first = _branch_keys(schema, condition)
+            warm = _branch_keys(schema, condition)
+            assert first == warm == cold, repr(condition)
+            checked += 1
+        assert checked > 100
 
 
 # ----------------------------------------------------------------------

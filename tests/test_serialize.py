@@ -142,7 +142,50 @@ class TestHashing:
         assert content_hash(a.has) != content_hash(c.has)
 
 
+_BUILD_CONSTRAINT = (
+    "from repro.arith.constraints import Constraint, Rel\n"
+    "from repro.arith.linexpr import LinExpr\n"
+    "from repro.logic.terms import num_var\n"
+    "c = Constraint(LinExpr({num_var('a'): 2, num_var('b'): -1}, 3), Rel.LE)\n"
+)
+
+
 class TestPickleSafety:
+    def test_cached_hashes_do_not_cross_processes(self):
+        """Constraints and linear expressions cache hashes of string-named
+        unknowns, which differ between processes; a pickle made under one
+        hash seed must still hash and compare right under another."""
+        import os
+        import subprocess
+        import sys
+
+        def run(seed: str, script: str, stdin: bytes = b"") -> bytes:
+            env = dict(os.environ, PYTHONHASHSEED=seed)
+            return subprocess.run(
+                [sys.executable, "-c", script],
+                input=stdin,
+                env=env,
+                capture_output=True,
+                check=True,
+            ).stdout
+
+        dumped = run(
+            "1",
+            _BUILD_CONSTRAINT
+            + "import pickle, sys\n"
+            "hash(c)\n"
+            "sys.stdout.buffer.write(pickle.dumps(c))\n",
+        )
+        run(
+            "2",
+            _BUILD_CONSTRAINT
+            + "import pickle, sys\n"
+            "clone = pickle.loads(sys.stdin.buffer.read())\n"
+            "assert hash(clone) == hash(c) and clone in {c}\n"
+            "assert hash(clone.expr) == hash(c.expr) and clone.expr in {c.expr}\n",
+            dumped,
+        )
+
     def test_has_pickles(self):
         """Frozen services carry MappingProxyType; __reduce__ makes whole
         systems picklable for process pools."""

@@ -33,7 +33,16 @@ def op_sequences(draw):
     for _ in range(draw(st.integers(min_value=1, max_value=10))):
         kind = draw(
             st.sampled_from(
-                ["eq", "neq", "null", "anchor", "nav_eq", "num_le", "num_eq"]
+                [
+                    "eq",
+                    "neq",
+                    "null",
+                    "anchor",
+                    "nav_eq",
+                    "num_le",
+                    "num_ge",
+                    "num_eq",
+                ]
             )
         )
         ops.append(
@@ -67,6 +76,8 @@ def apply_ops(store: ConstraintStore, ops) -> bool:
                 store.assert_eq(price, store.node_of(n))
             elif kind == "num_le":
                 store.add_linear(LinExpr({store.node_of(n): 1}, -k), Rel.LE)
+            elif kind == "num_ge":
+                store.add_linear(LinExpr({store.node_of(n): 1}, -k), Rel.GE)
             elif kind == "num_eq":
                 store.add_linear(LinExpr({store.node_of(n): 1}, -k), Rel.EQ)
     except Inconsistent:
