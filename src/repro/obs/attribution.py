@@ -47,7 +47,6 @@ attribution tables are byte-stable across PYTHONHASHSEED values
 
 from __future__ import annotations
 
-import threading
 from typing import Hashable
 
 from repro.perf.phases import PHASES
@@ -102,34 +101,14 @@ class AttributionRegistry:
     Keys are kept as raw ``(task, service-ref)`` tuples on the hot path
     (hashing a frozen dataclass beats formatting its repr); they are
     stringified — deterministically, sorted — only in :meth:`snapshot`.
-
-    **Thread-safety** (docs/performance.md's audit for the km_workers>1
-    scout): the construct *context* is thread-local — the pre-audit
-    process-global slot let a scout thread's ``set_context`` /
-    ``clear_context`` retarget where the main thread's sampled seconds
-    were credited, corrupting the report.  The *cells* stay shared:
-    the phase observer only fires on the reporting (main) thread, scout
-    threads' summary explorations are serialized behind the scout
-    engine's summary lock, and the counts are observational —
-    excluded from semantic bytes — so the residual scout-thread
-    increments (extra expansion/successor counts on top of the replay's)
-    are a documented approximation, not a soundness hazard.
     """
 
-    __slots__ = ("_cells", "_local", "enabled")
+    __slots__ = ("_cells", "_context", "enabled")
 
     def __init__(self) -> None:
         self._cells: dict[tuple, _Cell] = {}
-        self._local = threading.local()
+        self._context: tuple | None = None
         self.enabled = True
-
-    @property
-    def _context(self) -> tuple | None:
-        return getattr(self._local, "context", None)
-
-    @_context.setter
-    def _context(self, value: tuple | None) -> None:
-        self._local.context = value
 
     # ------------------------------------------------------------------
     # recording (hot path)

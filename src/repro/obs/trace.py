@@ -31,21 +31,11 @@ from __future__ import annotations
 
 import json
 import os
-import threading
 from contextlib import contextmanager
 from time import perf_counter
 from typing import Any, Callable, IO, Iterator
 
 Listener = Callable[[dict], None]
-
-#: Serializes :func:`_emit`: the km_workers>1 scout emits ``km_progress``
-#: (and summary/explore spans) from worker threads, and interleaved
-#: ``sink.write`` calls would shear JSONL lines mid-record.  Uncontended
-#: acquisition costs nanoseconds against a JSON dump + write, so the
-#: sequential path's <3% tracing budget is unaffected
-#: (benchmarks/trace_overhead.py re-verified after the audit).
-_EMIT_LOCK = threading.Lock()
-
 
 class _TraceState:
     __slots__ = ("sink", "owns_sink", "listeners", "t0", "pid", "active")
@@ -113,16 +103,15 @@ def remove_listener(listener: Listener) -> None:
 
 
 def _emit(record: dict) -> None:
-    with _EMIT_LOCK:
-        if _STATE.sink is not None:
-            _STATE.sink.write(
-                json.dumps(record, sort_keys=True, default=str) + "\n"
-            )
-        for listener in _STATE.listeners:
-            try:
-                listener(record)
-            except Exception:  # pragma: no cover — a listener must never
-                pass  # poison the traced computation
+    if _STATE.sink is not None:
+        _STATE.sink.write(
+            json.dumps(record, sort_keys=True, default=str) + "\n"
+        )
+    for listener in _STATE.listeners:
+        try:
+            listener(record)
+        except Exception:  # pragma: no cover — a listener must never
+            pass  # poison the traced computation
 
 
 def event(name: str, /, **fields: Any) -> None:

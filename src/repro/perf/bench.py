@@ -237,119 +237,6 @@ def _run_incremental(
     return time.perf_counter() - started, km_total, outcomes
 
 
-#: Worker-thread count the ``parallel-km`` family benchmarks against
-#: sequential (the acceptance criterion's 4-core configuration).
-PARALLEL_KM_WORKERS = 4
-
-
-def _parallel_km_family() -> list[BenchJob]:
-    """A/B cells for the ``parallel-km`` family: each job is run twice
-    per pass — ``km_workers=1`` then ``km_workers=PARALLEL_KM_WORKERS``
-    — with the process-global caches cleared before *each* side, so the
-    recorded speedup is scout-vs-nothing, never warm-vs-cold.  The
-    wall-boxed six-task travel cell measures throughput inside the box
-    (its parity column reads ``n/a``: truncation points under a
-    deadline are timing-dependent on both sides)."""
-    config = VerifierConfig(km_budget=60_000, time_limit_seconds=120.0)
-    jobs = []
-    for fixed in (False, True):
-        has = travel_lite(fixed)
-        jobs.append(
-            BenchJob(
-                f"{has.name}::lite-discount-policy",
-                has,
-                discount_policy_property_lite(has),
-                config,
-            )
-        )
-    spec = table1_workload(
-        SchemaClass.ACYCLIC, depth=2, with_sets=True, violated=True
-    )
-    jobs.append(BenchJob(spec.name, spec.has, spec.prop, config))
-    has_full = travel_booking(fixed=False)
-    boxed = VerifierConfig(
-        km_budget=1_000_000, max_summaries=100_000, time_limit_seconds=10.0
-    )
-    jobs.append(
-        BenchJob(
-            f"{has_full.name}::discount-policy (10s box)",
-            has_full,
-            discount_policy_property(has_full),
-            boxed,
-        )
-    )
-    return jobs
-
-
-def _run_parallel_km(jobs: Iterable[BenchJob]) -> tuple[float, int, list[dict]]:
-    """One pass of the ``parallel-km`` family: sequential vs parallel
-    sides per job, cold caches before each, speedup + parity columns."""
-    from dataclasses import replace
-
-    from repro.arith import fm
-    from repro.symbolic import store as symbolic_store
-
-    outcomes: list[dict] = []
-    km_total = 0
-    started = time.perf_counter()
-    for job in jobs:
-        sides: dict[str, dict] = {}
-        for side, workers in (("seq", 1), ("par", PARALLEL_KM_WORKERS)):
-            fm.clear_caches()
-            symbolic_store.clear_canonical_caches()
-            verifier = Verifier(job.has, replace(job.config, km_workers=workers))
-            side_started = time.perf_counter()
-            try:
-                result = verifier.verify(job.prop)
-                status = "holds" if result.holds else "violated"
-                km = result.stats.km_nodes
-                witness = [repr(step) for step in result.witness]
-            except BudgetExceeded as exc:
-                status = "budget_exceeded"
-                km = verifier.stats.km_nodes + int(
-                    getattr(exc, "states_explored", 0)
-                )
-                witness = []
-            except ReproError as exc:  # pragma: no cover - defensive
-                status = f"error: {type(exc).__name__}"
-                km = 0
-                witness = []
-            sides[side] = {
-                "status": status,
-                "km": km,
-                "witness": witness,
-                "wall": time.perf_counter() - side_started,
-            }
-        seq, par = sides["seq"], sides["par"]
-        boxed = (
-            job.config.time_limit_seconds is not None
-            and job.config.time_limit_seconds <= 30.0
-        )
-        parity = (
-            seq["status"] == par["status"]
-            and seq["km"] == par["km"]
-            and seq["witness"] == par["witness"]
-        )
-        km_total += par["km"]
-        outcomes.append(
-            {
-                "name": job.name,
-                "status": par["status"],
-                "km_nodes": par["km"],
-                "workers": PARALLEL_KM_WORKERS,
-                "seq_wall_seconds": round(seq["wall"], 3),
-                "par_wall_seconds": round(par["wall"], 3),
-                "speedup": round(seq["wall"] / par["wall"], 3)
-                if par["wall"]
-                else 0.0,
-                "parity": "n/a (wall-boxed)"
-                if boxed
-                else ("ok" if parity else "MISMATCH"),
-            }
-        )
-    return time.perf_counter() - started, km_total, outcomes
-
-
 #: ``incremental`` maps to pairs, not jobs — see :data:`_RUNNERS`.
 _FAMILIES: dict[str, Callable[[], list]] = {
     "table1": lambda: _table_family(table1_workload),
@@ -358,21 +245,14 @@ _FAMILIES: dict[str, Callable[[], list]] = {
     "travel-full": _travel_full_family,
     "scenario-families": _scenario_families,
     "incremental": _incremental_pairs,
-    "parallel-km": _parallel_km_family,
 }
 
 #: Per-family pass runner; everything not listed uses :func:`_run_jobs`.
 _RUNNERS: dict[str, Callable[[Iterable], tuple[float, int, list[dict]]]] = {
     "incremental": _run_incremental,
-    "parallel-km": _run_parallel_km,
 }
 
 #: Families whose KM-node totals are deterministic (no wall-clock box).
-#: ``parallel-km`` is excluded *by design*: its per-job rows carry
-#: measured speedup columns (wall-clock, never rep-stable); the parity
-#: column is instead enforced as a hard contract by
-#: tests/test_parallel.py, and drift shows up as a km_nodes throughput
-#: regression in :func:`compare_records`.
 _DETERMINISTIC = frozenset(
     {"table1", "table2", "travel-lite", "scenario-families", "incremental"}
 )

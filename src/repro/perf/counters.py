@@ -35,17 +35,6 @@ Counter semantics (hits / misses; rate = hits / (hits + misses)):
   acquisitions on the on-disk caches that had to wait for another
   process vs total acquisitions (sharded suites; no "rate" — the
   interesting number is the contention count itself).
-
-**Thread-safety** (docs/performance.md's audit for the km_workers>1
-scout): the ``+=`` sites are unsynchronized read-modify-writes, so
-concurrent scout threads can lose increments.  This is *documented as
-approximate* rather than locked: counters are observational only —
-excluded from semantic bytes, nulled on cache hits — the main thread is
-parked while scout threads run (so main-thread counts never race), and
-a per-increment lock on paths hit millions of times per job would not
-clear the instrumentation overhead budget.  Exact counters under
-threads would need per-thread cells; revisit if a free-threaded build
-makes the loss rate material.
 """
 
 from __future__ import annotations

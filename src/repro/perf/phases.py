@@ -28,28 +28,10 @@ Two properties keep the overhead below the PR 3 instrumentation budget
 Timing fields are observational only: they never feed back into any
 verdict, witness, node count, or job hash (A/B-tested in
 ``tests/test_obs.py``).
-
-**Thread-safety** (the km_workers>1 scout runs verifier code on worker
-threads — docs/performance.md's audit): every timer — call counts,
-sampled seconds, and crucially the nesting-depth guard — is
-*thread-local*.  The pre-audit shared depth counter was the genuine
-hazard: racing increments could leave a phase's depth stuck above zero,
-silently marking every later main-thread activation "nested" and
-killing the phase report for the rest of the process.  With per-thread
-timers, each thread's token dance is private and cannot corrupt another
-thread's.  Reporting (:meth:`PhaseTimers.snapshot` /
-:meth:`~PhaseTimers.since` / :meth:`~PhaseTimers.reset`) reads the
-*constructing* thread's timers — the process main thread — so scout
-threads' sampled time is deliberately discarded with the rest of the
-scout's observational output, and reported phase tables describe the
-sequential (authoritative) work only.  The :attr:`PhaseTimers.observer`
-hook likewise fires only on the reporting thread, keeping attribution's
-sampled-seconds channel single-threaded.
 """
 
 from __future__ import annotations
 
-import threading
 from time import perf_counter
 
 #: Time every activation until this many outermost calls were seen…
@@ -99,29 +81,16 @@ class PhaseTimers:
     overhead bound.
     """
 
-    __slots__ = ("_main", "_local", "observer")
+    __slots__ = ("_timers", "observer")
 
     def __init__(self) -> None:
-        # the constructing thread (the process main thread, for the
-        # module-level PHASES) is the reporting thread: its timer dict is
-        # what snapshot/since/reset read; other threads get private dicts
-        # whose contents die with them (see the module docstring)
-        self._main: dict[str, _Timer] = {}
-        self._local = threading.local()
-        self._local.timers = self._main
+        self._timers: dict[str, _Timer] = {}
         self.observer = None
 
-    def _timers_here(self) -> dict[str, _Timer]:
-        timers = getattr(self._local, "timers", None)
-        if timers is None:
-            timers = self._local.timers = {}
-        return timers
-
     def _get(self, name: str) -> _Timer:
-        timers = self._timers_here()
-        timer = timers.get(name)
+        timer = self._timers.get(name)
         if timer is None:
-            timer = timers[name] = _Timer()
+            timer = self._timers[name] = _Timer()
         return timer
 
     # ------------------------------------------------------------------
@@ -148,7 +117,7 @@ class PhaseTimers:
             timer.timed += 1
             elapsed = perf_counter() - token
             timer.seconds += elapsed
-            if self.observer is not None and self._timers_here() is self._main:
+            if self.observer is not None:
                 self.observer(name, elapsed)
 
     def add(self, name: str, seconds: float, calls: int = 1) -> None:
@@ -170,13 +139,13 @@ class PhaseTimers:
                 "timed": timer.timed,
                 "seconds": timer.seconds,
             }
-            for name, timer in self._main.items()
+            for name, timer in self._timers.items()
         }
 
     def since(self, baseline: dict[str, dict[str, float]]) -> dict[str, dict]:
         """Per-phase deltas relative to an earlier :meth:`snapshot`."""
         deltas: dict[str, dict] = {}
-        for name, timer in self._main.items():
+        for name, timer in self._timers.items():
             base = baseline.get(name, {})
             delta = {
                 "calls": timer.calls - base.get("calls", 0),
@@ -202,12 +171,7 @@ class PhaseTimers:
         return estimates
 
     def reset(self) -> None:
-        self._main.clear()
-        # a non-main caller's private dict is cleared too, so tests that
-        # exercise the registry from a worker thread start clean
-        timers = self._timers_here()
-        if timers is not self._main:
-            timers.clear()
+        self._timers.clear()
 
 
 #: The process-global phase-timer registry the verification stack feeds.

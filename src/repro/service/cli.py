@@ -82,7 +82,6 @@ def _config_from_args(args: argparse.Namespace) -> VerifierConfig:
     return VerifierConfig(
         km_budget=args.km_budget,
         time_limit_seconds=args.time_limit,
-        km_workers=getattr(args, "km_workers", 1),
     )
 
 
@@ -98,15 +97,6 @@ def _add_budget_arguments(parser: argparse.ArgumentParser) -> None:
         type=float,
         default=120.0,
         help="per-job wall-clock limit in seconds (default 120)",
-    )
-    parser.add_argument(
-        "--km-workers",
-        type=int,
-        default=1,
-        help="worker threads for the parallel Karp–Miller scout phase "
-        "(default 1 = sequential; >1 runs a cache-warming parallel scout "
-        "then a sequential replay, byte-identical to sequential output — "
-        "see docs/performance.md)",
     )
 
 

@@ -280,7 +280,7 @@ def merge_shard_jsonl(
     run's; scheduling metadata (wall seconds, per-run cache hits) is
     not, which is why the parity contract compares
     :meth:`~repro.service.jobs.JobOutcome.semantic_bytes`
-    (tests/test_parallel.py)."""
+    (tests/test_sharding.py)."""
     from collections import deque
 
     pending: dict[str, deque] = {}

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from fractions import Fraction
 from typing import Any, Callable, Iterable
 
@@ -346,6 +346,7 @@ _LEGACY_CONFIG_FIELDS = frozenset(
 )
 
 _CONFIG_DEFAULTS = VerifierConfig()
+_CONFIG_FIELDS = frozenset(field.name for field in fields(VerifierConfig))
 
 
 def _config_to_dict(config: VerifierConfig) -> dict:
@@ -575,8 +576,15 @@ def _from_has(data: dict) -> HAS:
 
 
 def _from_config(data: dict) -> VerifierConfig:
-    fields = {k: v for k, v in data.items() if k != "t"}
-    return VerifierConfig(**fields)
+    values = {k: v for k, v in data.items() if k != "t"}
+    unknown = sorted(values.keys() - _CONFIG_FIELDS)
+    if unknown:
+        # a removed knob must not be dropped silently: the job it came
+        # from asked for behaviour this version no longer has
+        raise SerializationError(
+            f"verifier_config: unknown field(s) {', '.join(map(repr, unknown))}"
+        )
+    return VerifierConfig(**values)
 
 
 _FROM_DISPATCH: dict[str, Callable[[dict], Any]] = {

@@ -32,8 +32,6 @@ from __future__ import annotations
 
 import heapq
 import math
-import threading
-import time
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Hashable, Iterable, Iterator, Mapping, Protocol
@@ -293,255 +291,6 @@ def build_km_graph(
             if stop_on is not None and stop_on(child):
                 return graph
     return graph
-
-
-#: Expansions between a scout worker's dominance-pruning rounds (each
-#: round drops queued nodes strictly dominated by an already-discovered
-#: label of the same state — sound for the scout because it only changes
-#: *which* work warms the caches, never the replayed sequential graph).
-SCOUT_PRUNE_EVERY = 256
-
-#: Idle-worker backoff while waiting for stealable work (seconds).
-_SCOUT_IDLE_SLEEP = 0.0002
-
-
-@dataclass
-class ScoutStats:
-    """What one parallel scout pass did (observational only — scout
-    output never feeds the verdict; see :func:`scout_km_graph`)."""
-
-    workers: int
-    expansions: int = 0
-    nodes: int = 0
-    steals: int = 0
-    prunes: int = 0
-    stopped_early: bool = False
-    budget_exhausted: bool = False
-    per_worker_expansions: list[int] = field(default_factory=list)
-    errors: list[str] = field(default_factory=list)
-
-
-def scout_km_graph(
-    system: ImplicitVASS,
-    start: Hashable | Iterable[tuple[Hashable, Mapping[Dim, int], object]],
-    budget: int = 50_000,
-    stop_on: Callable[[KMNode], bool] | None = None,
-    workers: int = 2,
-    progress_label: str = "",
-) -> ScoutStats:
-    """Work-stealing parallel Karp–Miller *scout*: explore the covering
-    set with ``workers`` threads, sharing covering checks through one
-    label map, and throw the tree away.
-
-    The scout exists to warm the process-global content-keyed caches
-    (FM projections/sat, canonical keys, successor computations) that a
-    subsequent *sequential replay* of the same exploration then hits —
-    the replay, not the scout, produces the graph, so verdicts and
-    witnesses stay byte-identical to sequential output by construction
-    (docs/performance.md, "Parallel exploration").  Consequences of
-    being observational:
-
-    * workers expand disjoint subtrees from per-worker LIFO deques and
-      steal FIFO from the opposite end when idle (oldest → shallowest →
-      biggest stolen subtree);
-    * the shared label map deduplicates concurrently discovered labels
-      (first writer wins; the loser's subtree is simply not re-expanded);
-    * every :data:`SCOUT_PRUNE_EVERY` expansions a worker runs a pruning
-      round against the global per-state vector index, dropping queued
-      nodes strictly dominated by a known label — sound here precisely
-      because the scout's tree is discarded;
-    * ``stop_on`` and budget exhaustion cancel all workers via a shared
-      event;
-    * worker exceptions are recorded in ``errors`` and cancel the pass,
-      never propagate — a failed scout just means cold caches.
-
-    ω-acceleration runs against path ancestors exactly as in
-    :func:`build_km_graph`, so the scout terminates on the same systems
-    the sequential construction terminates on.  Progress is reported via
-    ``km_progress`` trace events carrying a ``worker`` id.  Coverage and
-    attribution hooks at the KM level are deliberately *not* fired from
-    the scout (the replay fires them once, keeping observational streams
-    close to sequential); hooks inside ``system.successors`` still fire
-    on scout threads, which is why the registries they touch must be
-    thread-safe (see docs/performance.md's thread-safety audit).
-    """
-    if workers < 2:
-        raise ValueError("scout_km_graph needs workers >= 2; use build_km_graph")
-    if isinstance(start, (list, tuple)) or hasattr(start, "__next__"):
-        starts = list(start)  # type: ignore[arg-type]
-    else:
-        starts = [(start, {}, None)]
-    stats = ScoutStats(workers=workers, per_worker_expansions=[0] * workers)
-    lock = threading.Lock()  # guards by_label / by_state / shared counters
-    cancel = threading.Event()
-    by_label: dict[tuple, KMNode] = {}
-    by_state: dict[Hashable, list[FrozenVector]] = {}
-    deques: list[deque] = [deque() for _ in range(workers)]
-    shared = {"expansions": 0, "pending": 0}
-
-    for slot, (state, vector, payload) in enumerate(starts):
-        node = KMNode(state=state, vector=freeze(vector), payload=payload)
-        label = node.label
-        if label in by_label:
-            continue
-        by_label[label] = node
-        by_state.setdefault(node.state, []).append(node.vector)
-        shared["pending"] += 1
-        deques[slot % workers].append(node)
-        if stop_on is not None and stop_on(node):
-            stats.stopped_early = True
-            cancel.set()
-
-    def take(me: int) -> KMNode | None:
-        try:
-            return deques[me].pop()  # own end: LIFO, depth-first
-        except IndexError:
-            pass
-        for offset in range(1, workers):
-            try:
-                node = deques[(me + offset) % workers].popleft()  # steal FIFO
-            except IndexError:
-                continue
-            with lock:
-                stats.steals += 1
-            return node
-        return None
-
-    def prune(me: int) -> None:
-        """Drop queued nodes strictly dominated by a known same-state
-        label (the periodic global pruning round)."""
-        kept: list[KMNode] = []
-        dropped = 0
-        with lock:
-            while True:
-                try:
-                    node = deques[me].pop()
-                except IndexError:
-                    break
-                vector = thaw(node.vector)
-                dominated = any(
-                    other != node.vector and dominates(thaw(other), vector)
-                    for other in by_state.get(node.state, ())
-                )
-                if dominated:
-                    dropped += 1
-                    shared["pending"] -= 1
-                else:
-                    kept.append(node)
-            # kept was drained newest-first; restore original order
-            deques[me].extend(reversed(kept))
-            stats.prunes += dropped
-
-    def work(me: int) -> None:
-        since_prune = 0
-        while not cancel.is_set():
-            node = take(me)
-            if node is None:
-                with lock:
-                    if shared["pending"] == 0:
-                        return
-                time.sleep(_SCOUT_IDLE_SLEEP)
-                continue
-            with lock:
-                if shared["expansions"] >= budget:
-                    stats.budget_exhausted = True
-                    shared["pending"] -= 1
-                    cancel.set()
-                    return
-                shared["expansions"] += 1
-                stats.per_worker_expansions[me] += 1
-            since_prune += 1
-            mine = stats.per_worker_expansions[me]
-            if mine % PROGRESS_EVERY == 0 and trace.enabled():
-                with lock:
-                    total, frontier = shared["expansions"], shared["pending"]
-                trace.event(
-                    "km_progress",
-                    label=progress_label,
-                    worker=me,
-                    expansions=total,
-                    nodes=len(by_label),
-                    frontier=frontier,
-                )
-            current = thaw(node.vector)
-            for delta, next_state, tag in system.successors(node.state, current):
-                if cancel.is_set():
-                    break
-                next_vector = dict(current)
-                enabled = True
-                for dim, change in delta.items():
-                    value = next_vector.get(dim, 0)
-                    if value is OMEGA:
-                        continue
-                    value += change
-                    if value < 0:
-                        enabled = False
-                        break
-                    next_vector[dim] = value
-                if not enabled:
-                    continue
-                # acceleration against path ancestors (as build_km_graph)
-                ancestor = node
-                while ancestor is not None:
-                    if ancestor.state == next_state:
-                        avector = thaw(ancestor.vector)
-                        if (
-                            dominates(next_vector, avector)
-                            and freeze(next_vector) != ancestor.vector
-                        ):
-                            for dim, value in next_vector.items():
-                                if value is not OMEGA and value > avector.get(dim, 0):
-                                    next_vector[dim] = OMEGA
-                            for dim in avector:
-                                if next_vector.get(dim, 0) is not OMEGA:
-                                    if next_vector.get(dim, 0) > avector.get(dim, 0):
-                                        next_vector[dim] = OMEGA
-                    ancestor = ancestor.parent
-                label = (next_state, freeze(next_vector))
-                with lock:
-                    if label in by_label:  # covering check: first writer wins
-                        continue
-                    child = KMNode(
-                        state=next_state,
-                        vector=label[1],
-                        parent=node,
-                        parent_tag=tag,
-                        depth=node.depth + 1,
-                    )
-                    child.index = len(by_label)
-                    by_label[label] = child
-                    by_state.setdefault(next_state, []).append(label[1])
-                    shared["pending"] += 1
-                deques[me].append(child)
-                if stop_on is not None and stop_on(child):
-                    stats.stopped_early = True
-                    cancel.set()
-                    break
-            with lock:
-                shared["pending"] -= 1
-            if since_prune >= SCOUT_PRUNE_EVERY:
-                since_prune = 0
-                prune(me)
-
-    def run(me: int) -> None:
-        try:
-            work(me)
-        except BaseException as exc:  # cold caches beat a crashed job
-            with lock:
-                stats.errors.append(f"{type(exc).__name__}: {exc}")
-            cancel.set()
-
-    threads = [
-        threading.Thread(target=run, args=(k,), name=f"km-scout-{k}", daemon=True)
-        for k in range(workers)
-    ]
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join()
-    stats.expansions = shared["expansions"]
-    stats.nodes = len(by_label)
-    return stats
 
 
 def reachable(

@@ -51,18 +51,6 @@ class VerifierConfig:
     found first (never the verdict), so the default stays ``"lifo"`` for
     reproducibility; see docs/performance.md."""
 
-    km_workers: int = 1
-    """Worker threads for the parallel Karp–Miller scout phase.  With
-    the default ``1`` exploration is purely sequential.  With ``N > 1``
-    the root exploration first runs an ``N``-thread work-stealing
-    *scout* pass on a disposable engine clone that only warms the
-    process-global content-keyed caches (FM, canonicalization), then
-    *replays* the untouched sequential ``km_order`` path on the real
-    engine — so verdict, witness, and km counts are byte-identical to
-    ``km_workers=1`` by construction; see docs/performance.md
-    ("Parallel exploration").  Serialized only when non-default so job
-    content hashes stay stable (the ``km_order`` pattern)."""
-
     successor_memo_limit: int = 200_000
     """Entry cap for the per-task successor memo (symbolic transitions
     keyed by state and counter support).  0 disables the memo — useful

@@ -9,9 +9,8 @@ relations (Lemma 21's returning, lasso, and blocking paths).
 
 from __future__ import annotations
 
-import threading
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Mapping
 
 from repro.errors import BudgetExceeded, SpecificationError
@@ -35,10 +34,8 @@ from repro.symbolic.store import ConstraintStore, Inconsistent
 from repro.symbolic.apply import apply_condition
 from repro.vass.karp_miller import (
     KMGraph,
-    ScoutStats,
     build_km_graph,
     rooted_witness_path,
-    scout_km_graph,
 )
 from repro.vass.repeated import accepting_cycle, cycle_path
 from repro.verifier.config import VerifierConfig
@@ -90,18 +87,6 @@ class Verifier:
         self.deadline: float | None = None
         self.compiled: CompiledProperty | None = None
         self.stats = VerificationStats()
-        #: Set on the disposable *scout* engine clone that km_workers>1
-        #: shares across worker threads (see :meth:`_run_scout`).  It
-        #: opts the clone's TaskVASS instances into locked interning and
-        #: serializes :meth:`summary` behind an RLock — the summary
-        #: machinery mutates an engine-wide frame stack
-        #: (``_dep_frames``) that has no meaning interleaved.  The real
-        #: engine never sets it, so the sequential path pays nothing.
-        self._thread_safe = False
-        self._summary_lock: threading.RLock | None = None
-        #: Stats of the last km_workers>1 scout pass (observational —
-        #: never part of the verdict or the serialized outcome).
-        self.last_scout: ScoutStats | None = None
 
     # ------------------------------------------------------------------
     # budgeted search
@@ -194,22 +179,7 @@ class Verifier:
         because the memo outlives one ``verify()`` call — across
         *different properties* checked on the same :class:`Verifier`
         whenever they agree on a task's child specs.  Hits are counted in
-        ``stats.summary_hits`` and the ``summary`` perf counter.
-
-        On a thread-safe scout clone the whole computation is serialized
-        behind an RLock (recursive: child summaries call back in): the
-        memo, the dependency-frame stack, and ``stats`` are engine-wide
-        mutables with no consistent interleaved meaning.  Root-level KM
-        expansion still interleaves across scout threads; only summary
-        *computation* is single-file."""
-        if self._summary_lock is not None:
-            with self._summary_lock:
-                return self._summary_impl(task_name, input_store, beta)
-        return self._summary_impl(task_name, input_store, beta)
-
-    def _summary_impl(
-        self, task_name: str, input_store: ConstraintStore, beta: Mapping
-    ) -> TaskSummary:
+        ``stats.summary_hits`` and the ``summary`` perf counter."""
         key = (task_name, input_store.canonical_key(), beta_key(beta))
         cached = self._summaries.get(key)
         if cached is not None:
@@ -378,12 +348,6 @@ class Verifier:
         self.stats = VerificationStats()
         phases_baseline = PHASES.snapshot()
         attr_baseline = ATTRIBUTION.snapshot() if trace.enabled() else None
-        if self.config.km_workers > 1:
-            # Phase A: parallel scout on a disposable clone, warming the
-            # process-global content-keyed caches.  Phase B below is the
-            # untouched sequential path — byte-identical to km_workers=1
-            # by construction (docs/performance.md).
-            self._run_scout(prop)
         try:
             with trace.span("verify", property=prop.name) as extra:
                 result = self._verify_compiled(prop)
@@ -401,59 +365,6 @@ class Verifier:
             self._record_phase_seconds(phases_baseline)
         self.stats.wall_seconds = time.monotonic() - started
         return result
-
-    def _run_scout(self, prop: HLTLProperty) -> None:
-        """The km_workers>1 *scout* phase: run a work-stealing parallel
-        exploration of the root search on a disposable engine clone.
-
-        The clone shares nothing id-keyed or representative-carrying
-        with this engine — no summary memo, no successor memo, no
-        persistent summary store (parallel discovery order picks
-        isomorphic-but-not-byte-identical representative stores, and a
-        leaked representative would change witness bytes).  What the
-        scout *does* share, by design, are the process-global
-        content-keyed caches (FM sat/projection memos, canonical-key
-        caches), whose cross-run sharing is already the repo's tested
-        A/B-invisible invariant — so the sequential replay in
-        :meth:`_verify_compiled` runs the exact reference exploration,
-        just faster where those caches hit.  A scout failure of any kind
-        only means cold caches, so everything is swallowed; with a
-        wall-clock limit the scout is boxed to half the remaining time
-        so the replay always keeps at least half."""
-        config = replace(self.config, km_workers=1)
-        scout = Verifier(self.has, config, summary_store=None)
-        scout._thread_safe = True
-        scout._summary_lock = threading.RLock()
-        if self.deadline is not None:
-            now = time.monotonic()
-            remaining = self.deadline - now
-            if remaining <= 0:
-                return
-            scout.deadline = now + remaining / 2
-        try:
-            with trace.span("km_scout", workers=self.config.km_workers) as extra:
-                scout.compiled = CompiledProperty(self.has, prop)
-                automaton = scout.compiled.root_negated_automaton()
-                vass = TaskVASS(
-                    scout, self.has.root, automaton, is_root=True, config=config
-                )
-                starts = []
-                for init_store in scout._root_initial_stores():
-                    starts.extend(vass.initial_states(init_store))
-                self.last_scout = scout_km_graph(
-                    vass,
-                    starts,
-                    budget=config.km_budget,
-                    workers=self.config.km_workers,
-                    progress_label="root scout",
-                )
-                extra["expansions"] = self.last_scout.expansions
-                extra["nodes"] = self.last_scout.nodes
-                extra["steals"] = self.last_scout.steals
-                extra["prunes"] = self.last_scout.prunes
-                extra["errors"] = len(self.last_scout.errors)
-        except Exception:
-            self.last_scout = None
 
     def _record_phase_seconds(self, baseline: dict) -> None:
         estimate = PhaseTimers.estimate(PHASES.since(baseline))

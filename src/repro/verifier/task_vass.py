@@ -32,7 +32,6 @@ docs/performance.md.
 from __future__ import annotations
 
 import itertools
-import threading
 import time
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterator, Mapping
@@ -175,18 +174,6 @@ class TaskVASS:
         self._ids: dict[tuple, int] = {}
         self._succ_memo: dict[tuple, list] = {}
         self.deadline: float | None = getattr(engine, "deadline", None)
-        # Thread-safety audit (docs/performance.md): a TaskVASS is
-        # single-threaded by default, but the km_workers>1 scout engine
-        # (engine._thread_safe = True) shares one instance across worker
-        # threads.  intern()'s check-then-append is the one genuine
-        # hazard — an unserialized race mints two ids for one key,
-        # breaking the id↔key bijection the label map dedups on — so it
-        # takes this lock in thread-safe mode.  The successor memo's
-        # check-then-store race is benign (both threads compute the same
-        # value; dict assignment is atomic) and stays lock-free.
-        self._intern_lock = (
-            threading.Lock() if getattr(engine, "_thread_safe", False) else None
-        )
 
     # ------------------------------------------------------------------
     def intern(self, state: SymState) -> int:
@@ -195,12 +182,6 @@ class TaskVASS:
         is what folds the unbounded branching of condition refinement
         back into the finite control states Lemma 21's argument needs."""
         key = state.key
-        if self._intern_lock is not None:
-            with self._intern_lock:
-                return self._intern_locked(key, state)
-        return self._intern_locked(key, state)
-
-    def _intern_locked(self, key: tuple, state: SymState) -> int:
         state_id = self._ids.get(key)
         if state_id is None:
             state_id = len(self.registry)

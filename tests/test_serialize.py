@@ -7,6 +7,7 @@ object that is not just equal-looking but *verifies identically*.
 
 from __future__ import annotations
 
+import json
 import pickle
 
 import pytest
@@ -19,6 +20,8 @@ from repro.examples.travel import (
 )
 from repro.logic.conditions import And, Eq, Exists, Not, Or, RelationAtom, TRUE, FALSE
 from repro.logic.terms import ANY, Const, NULL, id_var, num_var
+from repro.service.cli import main as cli_main
+from repro.service.jobs import VerificationJob
 from repro.service.serialize import (
     SerializationError,
     canonical_json,
@@ -126,6 +129,44 @@ class TestConditionAndTermCoverage:
     def test_unserializable_object_rejected(self):
         with pytest.raises(SerializationError):
             to_dict(object())
+
+
+class TestUnknownConfigFields:
+    """A config field this version does not define is rejected by name.
+
+    The case that matters is a job dumped by an older version with a
+    knob that has since been removed (``km_workers``, the intra-job
+    thread count): silently dropping it would run a different job than
+    the one asked for.
+    """
+
+    @staticmethod
+    def _legacy_payload() -> dict:
+        has = travel_lite(True)
+        payload = VerificationJob(
+            has=has, prop=discount_policy_property_lite(has), config=CONFIG
+        ).payload()
+        payload["config"]["km_workers"] = 2
+        return payload
+
+    def test_from_dict_names_the_field(self):
+        data = dict(to_dict(CONFIG), km_workers=2, zz_unknown=1)
+        with pytest.raises(SerializationError, match="'km_workers', 'zz_unknown'"):
+            from_dict(data)
+
+    def test_from_payload_rejects(self):
+        with pytest.raises(SerializationError, match="km_workers"):
+            VerificationJob.from_payload(self._legacy_payload())
+
+    def test_cli_reports_an_invalid_job_file(self, tmp_path, capsys):
+        dump = tmp_path / "legacy-job.json"
+        dump.write_text(json.dumps(self._legacy_payload(), sort_keys=True))
+        with pytest.raises(SystemExit) as excinfo:
+            cli_main(["verify", str(dump)])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "not a valid job file" in err
+        assert "km_workers" in err
 
 
 class TestHashing:
