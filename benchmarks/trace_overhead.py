@@ -1,20 +1,18 @@
 #!/usr/bin/env python
 """CI gate: instrumentation must cost <3% of wall time on travel-lite.
 
-Three measurements, each against the same budget:
+One measurement per switch of :data:`repro.perf.bench.OVERHEAD_SWITCHES`,
+all by :func:`repro.perf.bench.measure_overhead` (interleaved off/on
+repetitions, best-of-N walls) and against the same budget:
 
-* **tracing** — interleaved (untraced, traced) repetitions via
-  :func:`repro.perf.bench.measure_trace_overhead`, best-of-N walls;
-* **attribution** — interleaved (disabled, enabled) repetitions of the
-  always-on search-attribution registry via
-  :func:`repro.perf.bench.measure_attribution_overhead`; unlike the
-  tracer it has no off switch in production, so its cost is gated
+* **trace** — JSONL tracing into a scratch sink;
+* **attribution** — the always-on search-attribution registry; unlike
+  the tracer it has no off switch in production, so its cost is gated
   separately rather than hidden inside the traced side;
-* **coverage** — same protocol for the semantic-coverage registry
-  (:mod:`repro.fuzz.coverage`), whose feature sites sit on the same
-  hot paths and are likewise always on.
+* **coverage** — the semantic-coverage registry (:mod:`repro.fuzz.coverage`),
+  whose feature sites sit on the same hot paths and are likewise always on.
 
-Exits 1 when either measured overhead exceeds the budget — the
+Exits 1 when any measured overhead exceeds the budget — the
 observability contract in docs/observability.md says the
 instrumentation is cheap enough to leave on, and this is the check
 that keeps that sentence true.
@@ -45,63 +43,29 @@ def main(argv: list[str] | None = None) -> int:
         "--budget",
         type=float,
         default=0.03,
-        help="maximum relative traced-vs-untraced slowdown (default 0.03)",
+        help="maximum relative on-vs-off slowdown per switch (default 0.03)",
     )
     args = parser.parse_args(argv)
 
-    from repro.perf.bench import (
-        measure_attribution_overhead,
-        measure_coverage_overhead,
-        measure_trace_overhead,
-    )
+    from repro.perf.bench import OVERHEAD_SWITCHES, measure_overhead
 
     failed = False
-    result = measure_trace_overhead(args.family, reps=args.reps)
-    overhead = result["overhead"]
-    print(
-        f"trace overhead on {result['family']} (best of {result['reps']}): "
-        f"untraced {result['untraced_seconds']:.3f}s, "
-        f"traced {result['traced_seconds']:.3f}s, "
-        f"overhead {overhead:+.2%} (budget {args.budget:.0%})"
-    )
-    if overhead > args.budget:
+    for switch in OVERHEAD_SWITCHES:
+        result = measure_overhead(switch, args.family, reps=args.reps)
+        overhead = result["overhead"]
         print(
-            f"FAIL: tracing costs {overhead:.2%} > {args.budget:.0%} budget",
-            file=sys.stderr,
+            f"{switch} overhead on {result['family']} "
+            f"(best of {result['reps']}): "
+            f"off {result['off_seconds']:.3f}s, "
+            f"on {result['on_seconds']:.3f}s, "
+            f"overhead {overhead:+.2%} (budget {args.budget:.0%})"
         )
-        failed = True
-
-    result = measure_attribution_overhead(args.family, reps=args.reps)
-    overhead = result["overhead"]
-    print(
-        f"attribution overhead on {result['family']} "
-        f"(best of {result['reps']}): "
-        f"disabled {result['disabled_seconds']:.3f}s, "
-        f"enabled {result['enabled_seconds']:.3f}s, "
-        f"overhead {overhead:+.2%} (budget {args.budget:.0%})"
-    )
-    if overhead > args.budget:
-        print(
-            f"FAIL: attribution costs {overhead:.2%} > {args.budget:.0%} budget",
-            file=sys.stderr,
-        )
-        failed = True
-
-    result = measure_coverage_overhead(args.family, reps=args.reps)
-    overhead = result["overhead"]
-    print(
-        f"coverage overhead on {result['family']} "
-        f"(best of {result['reps']}): "
-        f"disabled {result['disabled_seconds']:.3f}s, "
-        f"enabled {result['enabled_seconds']:.3f}s, "
-        f"overhead {overhead:+.2%} (budget {args.budget:.0%})"
-    )
-    if overhead > args.budget:
-        print(
-            f"FAIL: coverage costs {overhead:.2%} > {args.budget:.0%} budget",
-            file=sys.stderr,
-        )
-        failed = True
+        if overhead > args.budget:
+            print(
+                f"FAIL: {switch} costs {overhead:.2%} > {args.budget:.0%} budget",
+                file=sys.stderr,
+            )
+            failed = True
 
     if failed:
         return 1

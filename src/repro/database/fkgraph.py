@@ -10,11 +10,9 @@ most ``n`` from any relation — used to compute the navigation depth ``h(T)``
 from __future__ import annotations
 
 import enum
-from functools import lru_cache
-
-import networkx as nx
 
 from repro.database.schema import DatabaseSchema
+from repro.graphs import strongly_connected_components
 
 
 class SchemaClass(enum.Enum):
@@ -26,20 +24,27 @@ class SchemaClass(enum.Enum):
 
 
 class ForeignKeyGraph:
-    """Labeled graph whose nodes are relations and edges are foreign keys.
+    """Labeled multigraph whose nodes are relations and edges are foreign keys.
 
     There is an edge ``Ri -> Rj`` labeled ``F`` whenever relation ``Ri`` has
-    a foreign-key attribute ``F`` referencing ``Rj``.
+    a foreign-key attribute ``F`` referencing ``Rj``.  ``edges`` maps each
+    relation, in schema order, to its ``(label, target)`` pairs in
+    declaration order; parallel edges and self-loops are kept.
     """
 
     def __init__(self, schema: DatabaseSchema):
         self.schema = schema
-        graph = nx.MultiDiGraph()
-        for rel in schema:
-            graph.add_node(rel.name)
-            for fk in rel.foreign_keys:
-                graph.add_edge(rel.name, fk.references, label=fk.name)
-        self.graph = graph
+        self.edges: dict[str, list[tuple[str, str]]] = {
+            rel.name: [(fk.name, fk.references) for fk in rel.foreign_keys]
+            for rel in schema
+        }
+
+    def _components(self) -> list[list[str]]:
+        """SCCs of the FK graph, sinks first."""
+        return strongly_connected_components(
+            self.edges,
+            lambda name: [target for _label, target in self.edges[name]],
+        )
 
     # ------------------------------------------------------------------
     # classification
@@ -48,43 +53,29 @@ class ForeignKeyGraph:
         """Classify the schema per Definition 1.
 
         *acyclic*: no cycles at all; *linearly-cyclic*: every relation lies
-        on at most one simple cycle; *cyclic*: anything else.
+        on at most one simple cycle; *cyclic*: anything else.  Parallel FK
+        edges count as distinct cycles, since they induce distinct FK
+        navigation loops.
+
+        Every cycle lies inside one strongly connected component.  A
+        component with ``n`` relations and ``n`` internal edges (self-loops
+        and parallel edges counted) is one simple cycle.  With more edges
+        than relations, its ear decomposition has a second ear, which
+        closes a second simple cycle through a relation of the first.  So
+        one linear pass over the components decides the class.
         """
-        if nx.is_directed_acyclic_graph(nx.DiGraph(self.graph)):
-            # Self-loops and parallel FK edges forming 2-cycles are caught
-            # below; a DAG view without them is genuinely acyclic.
-            if not any(u == v for u, v in self.graph.edges()):
-                if not self._has_parallel_cycle():
-                    return SchemaClass.ACYCLIC
-        counts = self._simple_cycle_membership_counts()
-        if all(count <= 1 for count in counts.values()):
-            return SchemaClass.LINEARLY_CYCLIC
-        return SchemaClass.CYCLIC
-
-    def _has_parallel_cycle(self) -> bool:
-        """Two parallel FK edges between the same pair never form a cycle
-        by themselves (both point the same way), so this is always False;
-        kept for clarity of the classification logic."""
-        return False
-
-    def _simple_cycle_membership_counts(self) -> dict[str, int]:
-        """Number of distinct simple cycles through each relation.
-
-        Parallel edges with distinct labels count as distinct cycles, since
-        they induce distinct FK navigation loops.
-        """
-        counts: dict[str, int] = {name: 0 for name in self.graph.nodes}
-        # Work on the multigraph: enumerate simple cycles of the underlying
-        # DiGraph, then multiply by the number of parallel-edge choices.
-        digraph = nx.DiGraph(self.graph)
-        for cycle in nx.simple_cycles(digraph):
-            multiplicity = 1
-            for i, node in enumerate(cycle):
-                succ = cycle[(i + 1) % len(cycle)]
-                multiplicity *= self.graph.number_of_edges(node, succ)
-            for node in cycle:
-                counts[node] += multiplicity
-        return counts
+        cyclic = False
+        for component in self._components():
+            members = set(component)
+            internal = sum(
+                target in members
+                for name in component
+                for _label, target in self.edges[name]
+            )
+            if internal > len(component):
+                return SchemaClass.CYCLIC
+            cyclic = cyclic or internal > 0
+        return SchemaClass.LINEARLY_CYCLIC if cyclic else SchemaClass.ACYCLIC
 
     @property
     def is_acyclic(self) -> bool:
@@ -95,10 +86,7 @@ class ForeignKeyGraph:
     # ------------------------------------------------------------------
     def out_edges(self, relation: str) -> list[tuple[str, str]]:
         """Outgoing FK edges of ``relation`` as (label, target) pairs."""
-        return [
-            (data["label"], target)
-            for _, target, data in self.graph.out_edges(relation, data=True)
-        ]
+        return list(self.edges[relation])
 
     def path_count(self, relation: str, length: int) -> int:
         """Number of distinct FK paths of length at most ``length`` from
@@ -111,15 +99,11 @@ class ForeignKeyGraph:
         if length <= 0:
             return 1
         # counts[r] = number of paths of length ≤ current from r
-        counts: dict[str, int] = {name: 1 for name in self.graph.nodes}
-        out = {
-            name: [target for _label, target in self.out_edges(name)]
-            for name in self.graph.nodes
-        }
+        counts: dict[str, int] = {name: 1 for name in self.edges}
         for _ in range(length):
             nxt = {
-                name: 1 + sum(counts[target] for target in out[name])
-                for name in counts
+                name: 1 + sum(counts[target] for _label, target in edges)
+                for name, edges in self.edges.items()
             }
             if nxt == counts:  # saturated (acyclic reach exhausted)
                 break
@@ -128,7 +112,7 @@ class ForeignKeyGraph:
 
     def max_path_count(self, length: int) -> int:
         """``F(n)`` of Section 4.1: max over relations of path_count."""
-        return max((self.path_count(r, length) for r in self.graph.nodes), default=1)
+        return max((self.path_count(r, length) for r in self.edges), default=1)
 
     def longest_simple_path_length(self) -> int:
         """Length of the longest simple FK path (finite iff acyclic).
@@ -136,17 +120,15 @@ class ForeignKeyGraph:
         For acyclic schemas this bounds the length of *any* FK navigation,
         which is why navigation sets stay small there (Appendix C.3).
         """
-        digraph = nx.DiGraph(self.graph)
-        if not nx.is_directed_acyclic_graph(digraph):
-            raise ValueError("longest path is unbounded on cyclic FK graphs")
-        longest = 0
-        # Simple DP over reverse topological order.
         depth: dict[str, int] = {}
-        for node in list(nx.topological_sort(digraph))[::-1]:
-            succs = list(digraph.successors(node))
-            depth[node] = 0 if not succs else 1 + max(depth[s] for s in succs)
-            longest = max(longest, depth[node])
-        return longest
+        # acyclic: every component is one relation, and sinks come first
+        for component in self._components():
+            name = component[0]
+            targets = [target for _label, target in self.edges[name]]
+            if len(component) > 1 or name in targets:
+                raise ValueError("longest path is unbounded on cyclic FK graphs")
+            depth[name] = 1 + max((depth[t] for t in targets), default=-1)
+        return max(depth.values(), default=0)
 
 
 def navigation_depth(

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from typing import Hashable, Iterable, Iterator, Mapping, Sequence
 
 from repro.fuzz.coverage import COVERAGE
+from repro.graphs import strongly_connected_components
 from repro.ltl.formulas import (
     AndF,
     FalseF,
@@ -275,17 +276,8 @@ class Automaton:
                     seen.add(succ)
                     stack.append(succ)
         # accepting cycle through a Büchi state reachable from start
-        import networkx as nx
-
-        graph = nx.DiGraph()
-        graph.add_nodes_from(seen)
-        for node, succs in edges.items():
-            for succ in succs:
-                graph.add_edge(node, succ)
-        for component in nx.strongly_connected_components(graph):
-            has_cycle = len(component) > 1 or any(
-                graph.has_edge(n, n) for n in component
-            )
+        for component in strongly_connected_components(edges, edges.__getitem__):
+            has_cycle = len(component) > 1 or component[0] in edges[component[0]]
             if has_cycle and any(state in self.buchi_accepting for state, _ in component):
                 return True
         return False

@@ -29,6 +29,7 @@ live in ``benchmarks/baselines/``.
 
 from __future__ import annotations
 
+import io
 import json
 import platform
 import sys
@@ -37,6 +38,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Iterator
 
+from repro.arith import fm
 from repro.database.fkgraph import SchemaClass
 from repro.errors import BudgetExceeded, ReproError
 from repro.examples.travel import (
@@ -45,8 +47,12 @@ from repro.examples.travel import (
     travel_booking,
     travel_lite,
 )
+from repro.fuzz.coverage import COVERAGE
+from repro.obs import trace
+from repro.obs.attribution import ATTRIBUTION
 from repro.perf.counters import COUNTERS, PerfCounters
 from repro.perf.phases import PHASES, PhaseTimers
+from repro.symbolic import store as symbolic_store
 from repro.verifier.config import VerifierConfig
 from repro.verifier.engine import Verifier
 from repro.workloads import table1_workload, table2_workload
@@ -299,9 +305,6 @@ def run_family(name: str, reps: int = 3) -> dict:
     # family's (or an earlier run's) global cache entries would otherwise
     # be hit here, making the recorded rates and walls depend on which
     # families ran before this one in the same process
-    from repro.arith import fm
-    from repro.symbolic import store as symbolic_store
-
     fm.clear_caches()
     symbolic_store.clear_canonical_caches()
     # the phase timers sample on absolute call counts (every call until
@@ -370,142 +373,81 @@ def _alternating(modes: tuple[str, str], reps: int) -> Iterator[tuple[str, str]]
         yield (first, second) if rep % 2 == 0 else (second, first)
 
 
-def measure_trace_overhead(
-    family: str = "travel-lite", reps: int = 3
+def _set_trace(on: bool) -> None:
+    if on:
+        trace.start(io.StringIO())
+    else:
+        trace.stop()
+
+
+def _set_attribution(on: bool) -> None:
+    ATTRIBUTION.enabled = on
+
+
+def _set_coverage(on: bool) -> None:
+    COVERAGE.enabled = on
+
+
+#: The instrumentation switches :func:`measure_overhead` A/B-tests: name →
+#: (setter, the state production runs leave it in).  Tracing is opt-in.
+#: The attribution and coverage registries have their sites on the
+#: verifier's hot paths (KM expansion, FM decisions, store absorb, LTL
+#: tableau) and no off switch in production, so each must clear the
+#: budget on its own rather than hide inside the traced side.
+OVERHEAD_SWITCHES: dict[str, tuple[Callable[[bool], None], bool]] = {
+    "trace": (_set_trace, False),
+    "attribution": (_set_attribution, True),
+    "coverage": (_set_coverage, True),
+}
+
+
+def measure_overhead(
+    switch: str, family: str = "travel-lite", reps: int = 3
 ) -> dict:
-    """Measure tracing's wall-time overhead on one family.
+    """Measure one instrumentation switch's wall-time overhead on a family.
 
-    Runs ``reps`` interleaved (untraced, traced) pairs — interleaving
-    cancels thermal/cache drift that back-to-back blocks would bake into
-    one side, and the side that runs first alternates per rep — and
-    compares best-of-``reps`` walls (min vs min, the same
-    estimator ``run_family`` uses).  The traced side writes real JSONL to
-    a scratch sink, so the cost of serialization is included.
+    Runs ``reps`` interleaved (off, on) pairs — interleaving cancels
+    thermal/cache drift that back-to-back blocks would bake into one
+    side, and the side that runs first alternates per rep — and compares
+    best-of-``reps`` walls (min vs min, the same estimator ``run_family``
+    uses).  The traced side
+    writes real JSONL to a scratch sink, so the cost of serialization is
+    included.  Afterwards the switch is back in its production state.
 
-    Returns ``{"untraced_seconds", "traced_seconds", "overhead"}`` where
-    ``overhead`` is the relative slowdown (0.03 = 3%, the documented
-    budget in docs/observability.md); negative values (noise) count as 0
-    for gating purposes but are reported raw.
+    Returns ``{"switch", "family", "reps", "off_seconds", "on_seconds",
+    "overhead"}`` where ``overhead`` is the relative slowdown (0.03 = 3%,
+    the documented budget in docs/observability.md); negative values
+    (noise) are reported raw.  Raises ``ValueError`` for a name not in
+    :data:`OVERHEAD_SWITCHES`.
     """
-    import io
-
-    from repro.obs import trace
-
-    jobs = _FAMILIES[family]()
-    from repro.arith import fm
-    from repro.symbolic import store as symbolic_store
-
-    untraced: list[float] = []
-    traced: list[float] = []
-    for order in _alternating(("untraced", "traced"), reps):
-        for mode in order:
-            fm.clear_caches()
-            symbolic_store.clear_canonical_caches()
-            if mode == "traced":
-                trace.start(io.StringIO())
-            try:
-                wall, _km, _out = _run_jobs(jobs)
-            finally:
-                if mode == "traced":
-                    trace.stop()
-            (traced if mode == "traced" else untraced).append(wall)
-    best_untraced = min(untraced)
-    best_traced = min(traced)
-    return {
-        "family": family,
-        "reps": reps,
-        "untraced_seconds": best_untraced,
-        "traced_seconds": best_traced,
-        "overhead": (best_traced - best_untraced) / best_untraced
-        if best_untraced > 0
-        else 0.0,
-    }
-
-
-def measure_attribution_overhead(
-    family: str = "travel-lite", reps: int = 3
-) -> dict:
-    """Measure the always-on attribution registry's wall-time overhead.
-
-    Same interleaved best-of-``reps`` protocol as
-    :func:`measure_trace_overhead`, but the A/B variable is
-    ``ATTRIBUTION.enabled`` with tracing *off* on both sides — isolating
-    the cost of the per-expansion recording and the sampled-phase
-    observer hook, which (unlike the tracer) cannot be turned off in
-    production runs and must therefore clear the same budget on its own.
-    """
-    from repro.obs.attribution import ATTRIBUTION
-
-    jobs = _FAMILIES[family]()
-    from repro.arith import fm
-    from repro.symbolic import store as symbolic_store
-
-    disabled: list[float] = []
-    enabled: list[float] = []
     try:
-        for order in _alternating(("disabled", "enabled"), reps):
+        turn, production = OVERHEAD_SWITCHES[switch]
+    except KeyError:
+        raise ValueError(
+            f"unknown overhead switch {switch!r} "
+            f"(expected one of {', '.join(OVERHEAD_SWITCHES)})"
+        ) from None
+    jobs = _FAMILIES[family]()
+    walls: dict[str, list[float]] = {"off": [], "on": []}
+    try:
+        for order in _alternating(("off", "on"), reps):
             for mode in order:
                 fm.clear_caches()
                 symbolic_store.clear_canonical_caches()
-                ATTRIBUTION.enabled = mode == "enabled"
+                turn(mode == "on")
                 wall, _km, _out = _run_jobs(jobs)
-                (enabled if mode == "enabled" else disabled).append(wall)
+                walls[mode].append(wall)
     finally:
-        ATTRIBUTION.enabled = True
-    best_disabled = min(disabled)
-    best_enabled = min(enabled)
+        turn(production)
+    best_off = min(walls["off"])
+    best_on = min(walls["on"])
     return {
+        "switch": switch,
         "family": family,
         "reps": reps,
-        "disabled_seconds": best_disabled,
-        "enabled_seconds": best_enabled,
-        "overhead": (best_enabled - best_disabled) / best_disabled
-        if best_disabled > 0
-        else 0.0,
-    }
-
-
-def measure_coverage_overhead(
-    family: str = "travel-lite", reps: int = 3
-) -> dict:
-    """Measure the semantic-coverage registry's wall-time overhead.
-
-    Same interleaved best-of-``reps`` protocol as
-    :func:`measure_attribution_overhead`, with ``COVERAGE.enabled`` as
-    the A/B variable.  The registry's feature sites live on the
-    verifier's hot paths (KM expansion, FM decisions, store absorb, LTL
-    tableau), so it must clear the instrumentation budget on its own —
-    not just averaged into the traced side.
-    """
-    from repro.fuzz.coverage import COVERAGE
-
-    jobs = _FAMILIES[family]()
-    from repro.arith import fm
-    from repro.symbolic import store as symbolic_store
-
-    disabled: list[float] = []
-    enabled: list[float] = []
-    was = COVERAGE.enabled
-    try:
-        for order in _alternating(("disabled", "enabled"), reps):
-            for mode in order:
-                fm.clear_caches()
-                symbolic_store.clear_canonical_caches()
-                COVERAGE.enabled = mode == "enabled"
-                wall, _km, _out = _run_jobs(jobs)
-                (enabled if mode == "enabled" else disabled).append(wall)
-    finally:
-        COVERAGE.enabled = was
-    best_disabled = min(disabled)
-    best_enabled = min(enabled)
-    return {
-        "family": family,
-        "reps": reps,
-        "disabled_seconds": best_disabled,
-        "enabled_seconds": best_enabled,
-        "overhead": (best_enabled - best_disabled) / best_disabled
-        if best_disabled > 0
-        else 0.0,
+        "off_seconds": best_off,
+        "on_seconds": best_on,
+        "overhead": (best_on - best_off) / best_off if best_off > 0 else 0.0,
     }
 
 

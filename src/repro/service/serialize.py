@@ -329,34 +329,11 @@ def _has_to_dict(has: HAS) -> dict:
     }
 
 
-#: Config fields serialized unconditionally (the original wire format).
-#: Fields added later are serialized only when they differ from the
-#: default, so jobs that don't use the new knobs keep their exact
-#: pre-existing content-addressed keys (cache stability across versions).
-_LEGACY_CONFIG_FIELDS = frozenset(
-    {
-        "km_budget",
-        "max_condition_branches",
-        "max_outputs_per_summary",
-        "max_summaries",
-        "collect_witness",
-        "concretize_witnesses",
-        "time_limit_seconds",
-    }
-)
-
-_CONFIG_DEFAULTS = VerifierConfig()
 _CONFIG_FIELDS = frozenset(field.name for field in fields(VerifierConfig))
 
 
 def _config_to_dict(config: VerifierConfig) -> dict:
-    data = {"t": "verifier_config"}
-    for name, value in asdict(config).items():
-        if name in _LEGACY_CONFIG_FIELDS or value != getattr(
-            _CONFIG_DEFAULTS, name
-        ):
-            data[name] = value
-    return data
+    return {"t": "verifier_config", **asdict(config)}
 
 
 # ----------------------------------------------------------------------

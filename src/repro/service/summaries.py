@@ -359,15 +359,13 @@ def decode_record(
 # ----------------------------------------------------------------------
 #: Config fields a summary's exploration can observe.  Deliberately
 #: excluded: ``max_summaries`` (a reader-side memo cap, re-enforced at
-#: install time), ``successor_memo_limit`` / ``child_input_memo_limit``
-#: (observationally invisible memo bounds), ``time_limit_seconds``
-#: (deadline aborts are never persisted), and the witness knobs (witness
-#: extraction happens at the root, never inside a summary).
+#: install time), ``time_limit_seconds`` (deadline aborts are never
+#: persisted), and the witness knobs (witness extraction happens at the
+#: root, never inside a summary).
 _KEY_CONFIG_FIELDS = (
     "km_budget",
     "max_condition_branches",
     "max_outputs_per_summary",
-    "km_order",
 )
 
 

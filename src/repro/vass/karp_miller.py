@@ -21,18 +21,15 @@ resulting *KM graph* (nodes merged on equal labels) answers:
   (Habermehl [33], Blockelet–Schmitz [14]) — Lemma 21's lasso paths.
 
 Engineering notes (docs/performance.md): exact duplicate successor edges
-are dropped on insertion, and the frontier discipline is pluggable
-(:class:`_Frontier` — LIFO reference order, FIFO, or covering-first).
-The graph over *labels* is order-independent; the spanning tree, and
-with it the witness paths, is not — which is why callers wanting
-reproducible witnesses keep the default order.
+are dropped on insertion, and the worklist is a stack (depth-first).
+The graph over *labels* does not depend on the expansion order; the
+spanning tree, and with it the witness paths, does — every recorded
+witness was produced under this order.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Hashable, Iterable, Iterator, Mapping, Protocol
 
@@ -108,66 +105,11 @@ class KMGraph:
     budget_exhausted: bool = False
 
 
-class _Frontier:
-    """The unexpanded-node worklist under one of three disciplines.
-
-    * ``lifo`` — depth-first, the reference order (deterministic, and the
-      order every recorded witness in the test suite was produced under);
-    * ``fifo`` — breadth-first;
-    * ``covering`` — prefer nodes with more ω coordinates, then larger
-      finite counter sums, then insertion order.  ω-rich labels dominate
-      the most configurations, so expanding them first tends to reach
-      covering labels (and further accelerations) earlier, shrinking the
-      constructed graph on workloads with deep counter growth.
-
-    All three disciplines build the same *set* of reachable labels when
-    run to completion; they differ in which tree — and therefore which
-    witness path and which truncation point under a budget — is found
-    first.  The verifier keeps ``lifo`` as its default so verdicts and
-    witnesses stay reproducible run-over-run (see docs/performance.md).
-    """
-
-    __slots__ = ("order", "_items", "_seq")
-
-    def __init__(self, order: str):
-        if order not in ("lifo", "fifo", "covering"):
-            raise ValueError(f"unknown frontier order {order!r}")
-        self.order = order
-        # deque for fifo: list.pop(0) would make breadth-first quadratic
-        # in the frontier size
-        self._items: list | deque = deque() if order == "fifo" else []
-        self._seq = 0
-
-    def push(self, node: KMNode) -> None:
-        if self.order == "covering":
-            vector = node.vector
-            omegas = sum(1 for _d, v in vector if v is OMEGA)
-            finite = sum(v for _d, v in vector if v is not OMEGA)
-            heapq.heappush(self._items, (-omegas, -finite, self._seq, node))
-            self._seq += 1
-        else:
-            self._items.append(node)
-
-    def pop(self) -> KMNode:
-        if self.order == "covering":
-            return heapq.heappop(self._items)[-1]
-        if self.order == "fifo":
-            return self._items.popleft()
-        return self._items.pop()
-
-    def __bool__(self) -> bool:
-        return bool(self._items)
-
-    def __len__(self) -> int:
-        return len(self._items)
-
-
 def build_km_graph(
     system: ImplicitVASS,
     start: Hashable | Iterable[tuple[Hashable, Mapping[Dim, int], object]],
     budget: int = 50_000,
     stop_on: Callable[[KMNode], bool] | None = None,
-    order: str = "lifo",
     progress_label: str = "",
 ) -> KMGraph:
     """Construct the Karp–Miller graph from the start configuration(s).
@@ -175,7 +117,6 @@ def build_km_graph(
     ``start`` is either a single control state (counters 0) or an iterable
     of (state, vector, payload) triples.  ``stop_on`` short-circuits the
     construction once a node satisfies it (used for plain reachability).
-    ``order`` picks the frontier discipline (:class:`_Frontier`).
     ``progress_label`` names this exploration in the periodic
     ``km_progress`` trace events (one every :data:`PROGRESS_EVERY`
     expansions while a trace is active — the ``--progress`` heartbeat's
@@ -193,7 +134,7 @@ def build_km_graph(
     else:
         starts = [(start, {}, None)]
     graph = KMGraph(roots=[], nodes=[], by_label={})
-    worklist = _Frontier(order)
+    worklist: list[KMNode] = []
     for state, vector, payload in starts:
         node = KMNode(state=state, vector=freeze(vector), payload=payload)
         node.index = len(graph.nodes)
@@ -202,7 +143,7 @@ def build_km_graph(
         label = node.label
         if label not in graph.by_label:
             graph.by_label[label] = node
-            worklist.push(node)
+            worklist.append(node)
         if stop_on is not None and stop_on(node):
             return graph
     expansions = 0
@@ -287,7 +228,7 @@ def build_km_graph(
             except TypeError:
                 pass
             node.successors.append((tag, child))
-            worklist.push(child)
+            worklist.append(child)
             if stop_on is not None and stop_on(child):
                 return graph
     return graph

@@ -9,62 +9,8 @@ from __future__ import annotations
 from collections import deque
 from typing import Callable
 
+from repro.graphs import strongly_connected_components
 from repro.vass.karp_miller import KMGraph, KMNode
-
-
-def strongly_connected_components(graph: KMGraph) -> list[list[KMNode]]:
-    """Tarjan's algorithm, iterative."""
-    index_of: dict[int, int] = {}
-    lowlink: dict[int, int] = {}
-    on_stack: set[int] = set()
-    stack: list[KMNode] = []
-    counter = [0]
-    sccs: list[list[KMNode]] = []
-
-    def strongconnect(root: KMNode) -> None:
-        work: list[tuple[KMNode, int]] = [(root, 0)]
-        while work:
-            node, child_idx = work.pop()
-            if child_idx == 0:
-                index_of[node.index] = counter[0]
-                lowlink[node.index] = counter[0]
-                counter[0] += 1
-                stack.append(node)
-                on_stack.add(node.index)
-            advanced = False
-            while child_idx < len(node.successors):
-                _tag, child = node.successors[child_idx]
-                child_idx += 1
-                if child.index not in index_of:
-                    work.append((node, child_idx))
-                    work.append((child, 0))
-                    advanced = True
-                    break
-                if child.index in on_stack:
-                    lowlink[node.index] = min(
-                        lowlink[node.index], index_of[child.index]
-                    )
-            if advanced:
-                continue
-            if lowlink[node.index] == index_of[node.index]:
-                component: list[KMNode] = []
-                while True:
-                    member = stack.pop()
-                    on_stack.discard(member.index)
-                    component.append(member)
-                    if member is node:
-                        break
-                sccs.append(component)
-            if work:
-                parent, _ = work[-1]
-                lowlink[parent.index] = min(
-                    lowlink[parent.index], lowlink[node.index]
-                )
-
-    for node in graph.nodes:
-        if node.index not in index_of:
-            strongconnect(node)
-    return sccs
 
 
 def accepting_cycle(
@@ -75,19 +21,27 @@ def accepting_cycle(
     Non-ω coordinates are exact in KM labels, so every KM cycle is
     realizable arbitrarily often (ω coordinates are pumpable); an
     accepting node on a cycle therefore witnesses repeated reachability.
+
+    The SCCs run over node indices (``KMNode`` is not hashable), with
+    roots in ``graph.nodes`` order and successors in ``node.successors``
+    order, so the lasso found — and the witness built from it — is a
+    deterministic function of the graph.
     """
-    for component in strongly_connected_components(graph):
-        members = {n.index for n in component}
+    nodes = graph.nodes
+    for component in strongly_connected_components(
+        range(len(nodes)),
+        lambda index: [child.index for _tag, child in nodes[index].successors],
+    ):
+        first = nodes[component[0]]
         has_cycle = len(component) > 1 or any(
-            child.index in members
-            for n in component
-            for _tag, child in n.successors
+            child is first for _tag, child in first.successors
         )
         if not has_cycle:
             continue
-        for node in component:
+        members = [nodes[index] for index in component]
+        for node in members:
             if accepting(node):
-                return node, component
+                return node, members
     return None
 
 

@@ -41,23 +41,3 @@ class VerifierConfig:
     time_limit_seconds: float | None = None
     """Wall-clock limit for one verify() call; exceeding it raises
     BudgetExceeded (useful for benchmark sweeps)."""
-
-    km_order: str = "lifo"
-    """Karp–Miller frontier discipline: ``"lifo"`` (depth-first, the
-    reference order), ``"fifo"`` (breadth-first), or ``"covering"``
-    (expand nodes with the most ω coordinates / largest counters first,
-    which tends to reach dominating — covering — labels earlier and so
-    accelerates sooner).  Exploration order changes which witness path is
-    found first (never the verdict), so the default stays ``"lifo"`` for
-    reproducibility; see docs/performance.md."""
-
-    successor_memo_limit: int = 200_000
-    """Entry cap for the per-task successor memo (symbolic transitions
-    keyed by state and counter support).  0 disables the memo — useful
-    for A/B-testing cache correctness."""
-
-    child_input_memo_limit: int = 200_000
-    """Entry cap for the engine's child input-extraction memo (keyed by
-    child task and parent canonical key).  Unlike ``max_summaries`` this
-    bounds a pure cache: hitting the cap only stops memoizing, never the
-    search.  0 disables the memo."""

@@ -48,6 +48,11 @@ from repro.verifier.result import (
 from repro.verifier.spec import BetaKey, CompiledProperty, beta_key
 from repro.verifier.task_vass import StepTag, TaskVASS
 
+#: Entry cap for the child input-extraction memo (keyed by child task and
+#: parent canonical key).  Unlike ``max_summaries`` this bounds a pure
+#: cache: hitting the cap only stops memoizing, never the search.
+CHILD_INPUT_MEMO_LIMIT = 200_000
+
 
 @dataclass
 class TaskSummary:
@@ -106,7 +111,6 @@ class Verifier:
                     vass,
                     starts,
                     budget=self.config.km_budget,
-                    order=self.config.km_order,
                     progress_label=what,
                 )
             finally:
@@ -163,7 +167,7 @@ class Verifier:
         )
         key = child_store.canonical_key()
         self._input_stores[(child.name, key)] = child_store
-        if len(self._child_input_memo) < self.config.child_input_memo_limit:
+        if len(self._child_input_memo) < CHILD_INPUT_MEMO_LIMIT:
             self._child_input_memo[memo_key] = (child_store, key)
         return child_store, key
 

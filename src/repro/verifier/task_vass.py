@@ -63,6 +63,11 @@ from repro.verifier.spec import BetaKey
 if TYPE_CHECKING:  # pragma: no cover
     from repro.verifier.engine import Verifier
 
+#: Entry cap for the per-task successor memo (symbolic transitions keyed
+#: by state and counter support).  A pure cache: hitting the cap only
+#: stops memoizing.
+SUCCESSOR_MEMO_LIMIT = 200_000
+
 # child status tuples (hashable parts of the state key)
 INIT = ("init",)
 CLOSED = ("closed",)
@@ -271,7 +276,7 @@ class TaskVASS:
             (delta, self.intern(successor), tag)
             for delta, successor, tag in self.successor_states(state, vector)
         ]
-        if len(self._succ_memo) < self.config.successor_memo_limit:
+        if len(self._succ_memo) < SUCCESSOR_MEMO_LIMIT:
             self._succ_memo[key] = expansion
         for delta, successor_id, tag in expansion:
             yield dict(delta), successor_id, tag

@@ -92,7 +92,9 @@ class TestModelRoundTrips:
         roundtrip_scenario(spec.has, spec.prop)
 
     def test_fuzz_generated_scenarios(self):
-        config = VerifierConfig(km_budget=777, time_limit_seconds=1.5, km_order="fifo")
+        config = VerifierConfig(
+            km_budget=777, time_limit_seconds=1.5, concretize_witnesses=False
+        )
         deep = GenConfig(max_depth=3, arith_weight=1.0, set_weight=0.5)
         for seed in range(3):
             for index in range(8):

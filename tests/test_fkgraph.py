@@ -1,6 +1,7 @@
 """Schema classification and path counting (Definition 1, Appendix C.3)."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.database.fkgraph import ForeignKeyGraph, SchemaClass, navigation_depth
 from repro.database.schema import DatabaseSchema, Relation, foreign_key, numeric
@@ -89,3 +90,91 @@ class TestNavigationDepth:
         leaf_h = navigation_depth(graph, 2)
         parent_h = navigation_depth(graph, 2, (leaf_h,))
         assert parent_h > leaf_h
+
+
+# ----------------------------------------------------------------------
+# brute-force references: Definition 1 read literally
+# ----------------------------------------------------------------------
+@st.composite
+def fk_multigraphs(draw) -> tuple[int, list[tuple[int, int]]]:
+    """Up to 5 relations and 8 FK edges; self-loops and parallel edges
+    included."""
+    size = draw(st.integers(1, 5))
+    node = st.integers(0, size - 1)
+    return size, draw(st.lists(st.tuples(node, node), max_size=8))
+
+
+def _schema(size: int, edges: list[tuple[int, int]]) -> DatabaseSchema:
+    fks: list[list] = [[] for _ in range(size)]
+    for label, (source, target) in enumerate(edges):
+        fks[source].append(foreign_key(f"f{label}", f"R{target}"))
+    return DatabaseSchema(
+        tuple(Relation(f"R{i}", tuple(fks[i])) for i in range(size))
+    )
+
+
+def _simple_cycles(size: int, edges: list[tuple[int, int]]) -> list[list[int]]:
+    """Every simple cycle as its list of nodes.  A cycle is a sequence of
+    distinct FK edges, so parallel edges make distinct cycles; each one
+    is enumerated once, from its smallest node."""
+    cycles: list[list[int]] = []
+
+    def extend(start: int, path: list[int]) -> None:
+        for source, target in edges:
+            if source != path[-1]:
+                continue
+            if target == start:
+                cycles.append(list(path))
+            elif target > start and target not in path:
+                extend(start, path + [target])
+
+    for start in range(size):
+        extend(start, [start])
+    return cycles
+
+
+def _reference_class(size: int, edges: list[tuple[int, int]]) -> SchemaClass:
+    cycles = _simple_cycles(size, edges)
+    if not cycles:
+        return SchemaClass.ACYCLIC
+    through = [sum(node in cycle for cycle in cycles) for node in range(size)]
+    if max(through) <= 1:
+        return SchemaClass.LINEARLY_CYCLIC
+    return SchemaClass.CYCLIC
+
+
+def _reference_longest_path(size: int, edges: list[tuple[int, int]]) -> int:
+    def longest_from(path: list[int]) -> int:
+        return max(
+            (
+                1 + longest_from(path + [target])
+                for source, target in edges
+                if source == path[-1] and target not in path
+            ),
+            default=0,
+        )
+
+    return max(longest_from([node]) for node in range(size))
+
+
+class TestAgainstBruteForce:
+    @settings(max_examples=300, deadline=None)
+    @given(fk_multigraphs())
+    def test_classify_matches_definition_1(self, graph):
+        size, edges = graph
+        assert ForeignKeyGraph(_schema(size, edges)).classify() is _reference_class(
+            size, edges
+        )
+
+    @settings(max_examples=300, deadline=None)
+    @given(fk_multigraphs())
+    def test_longest_simple_path_matches_dfs(self, graph):
+        size, edges = graph
+        fk_graph = ForeignKeyGraph(_schema(size, edges))
+        if _simple_cycles(size, edges):
+            with pytest.raises(ValueError):
+                fk_graph.longest_simple_path_length()
+        else:
+            assert fk_graph.longest_simple_path_length() == _reference_longest_path(
+                size, edges
+            )

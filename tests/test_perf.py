@@ -16,15 +16,15 @@ uncached code.  These tests pin that down —
   satisfiability decision equals the monolithic one;
 * verification with the successor memo disabled is byte-identical to
   the default;
-* every Karp–Miller frontier order reaches the same verdict;
 * the ``bench --record / --compare`` harness round-trips its JSON and
-  flags regressions (and only regressions);
-* the new ``VerifierConfig`` knobs serialize only when non-default, so
-  content-addressed job keys are stable across versions.
+  flags regressions (and only regressions), and the overhead gate's
+  harness leaves the instrumentation in its production state;
+* ``VerifierConfig`` round-trips through its serialized form.
 """
 
 import json
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.arith import fm
@@ -36,10 +36,12 @@ from repro.errors import ConditionError
 from repro.logic.conditions import Not
 from repro.logic.terms import id_var, num_var
 from repro.perf.bench import (
+    OVERHEAD_SWITCHES,
     compare_records,
     compare_directories,
     family_names,
     load_record,
+    measure_overhead,
     record_families,
     run_family,
 )
@@ -47,7 +49,7 @@ from repro.perf.counters import COUNTERS, PerfCounters
 from repro.service.serialize import from_dict, to_dict
 from repro.symbolic.apply import apply_condition
 from repro.symbolic.store import ConstraintStore, Inconsistent, clear_canonical_caches
-from repro.verifier import Verifier, VerifierConfig
+from repro.verifier import Verifier, VerifierConfig, task_vass
 from repro.workloads import table1_workload
 
 from tests.test_store_properties import IDS, NUMS, SCHEMA, apply_ops, op_sequences
@@ -313,32 +315,18 @@ def _semantic_fingerprint(result):
 
 
 class TestVerifierCacheInvisibility:
-    def test_successor_memo_is_byte_identical(self):
+    def test_successor_memo_is_byte_identical(self, monkeypatch):
         spec = table1_workload(
             SchemaClass.CYCLIC, depth=2, with_sets=True, violated=True
         )
-        with_memo = Verifier(
-            spec.has, VerifierConfig(km_budget=60_000)
-        ).verify(spec.prop)
-        without_memo = Verifier(
-            spec.has, VerifierConfig(km_budget=60_000, successor_memo_limit=0)
-        ).verify(spec.prop)
+        config = VerifierConfig(km_budget=60_000)
+        with_memo = Verifier(spec.has, config).verify(spec.prop)
+        monkeypatch.setattr(task_vass, "SUCCESSOR_MEMO_LIMIT", 0)
+        without_memo = Verifier(spec.has, config).verify(spec.prop)
         assert _semantic_fingerprint(with_memo) == _semantic_fingerprint(
             without_memo
         )
         assert with_memo.holds == spec.expected_holds
-
-    def test_frontier_orders_agree_on_the_verdict(self):
-        spec = table1_workload(
-            SchemaClass.ACYCLIC, depth=2, with_sets=True, violated=True
-        )
-        verdicts = {}
-        for order in ("lifo", "fifo", "covering"):
-            result = Verifier(
-                spec.has, VerifierConfig(km_budget=60_000, km_order=order)
-            ).verify(spec.prop)
-            verdicts[order] = result.holds
-        assert verdicts == {order: spec.expected_holds for order in verdicts}
 
     def test_run_is_hash_seed_independent(self):
         """The search is reproducible across processes: verdict, witness,
@@ -382,8 +370,6 @@ class TestVerifierCacheInvisibility:
         placeholder memoized: the memo outlives the verify() call, and a
         truncated summary would silently drop child behaviors from a
         later run on the same Verifier."""
-        import pytest
-
         from repro.errors import BudgetExceeded
 
         spec = table1_workload(
@@ -421,18 +407,6 @@ class TestVerifierCacheInvisibility:
 
 
 class TestConfigKeyStability:
-    def test_new_knobs_omitted_at_defaults(self):
-        data = to_dict(VerifierConfig())
-        assert "km_order" not in data
-        assert "successor_memo_limit" not in data
-
-    def test_new_knobs_serialized_when_set(self):
-        config = VerifierConfig(km_order="covering", successor_memo_limit=0)
-        data = to_dict(config)
-        assert data["km_order"] == "covering"
-        assert data["successor_memo_limit"] == 0
-        assert from_dict(data) == config
-
     def test_default_roundtrip(self):
         assert from_dict(to_dict(VerifierConfig())) == VerifierConfig()
 
@@ -515,6 +489,23 @@ class TestBenchHarness:
         )
         assert regressions == [] and drifts == []
         assert any("no baseline" in note for note in notes)
+
+    def test_measure_overhead_restores_production_state(self):
+        """Each switch of the overhead gate measures real walls on both
+        sides and leaves the instrumentation as production runs it:
+        tracing off, the attribution and coverage registries on."""
+        from repro.fuzz.coverage import COVERAGE
+        from repro.obs import trace
+        from repro.obs.attribution import ATTRIBUTION
+
+        for switch in OVERHEAD_SWITCHES:
+            result = measure_overhead(switch, "travel-lite", reps=1)
+            assert result["switch"] == switch
+            assert result["off_seconds"] > 0 and result["on_seconds"] > 0
+            assert not trace.enabled()
+            assert ATTRIBUTION.enabled and COVERAGE.enabled
+        with pytest.raises(ValueError, match="no-such-switch"):
+            measure_overhead("no-such-switch")
 
     def test_tracked_baselines_load(self):
         """The baselines committed under benchmarks/baselines/ stay

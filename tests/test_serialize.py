@@ -136,8 +136,8 @@ class TestUnknownConfigFields:
 
     The case that matters is a job dumped by an older version with a
     knob that has since been removed (``km_workers``, the intra-job
-    thread count): silently dropping it would run a different job than
-    the one asked for.
+    thread count; the frontier order; the two memo caps): silently
+    dropping it would run a different job than the one asked for.
     """
 
     @staticmethod
@@ -149,9 +149,13 @@ class TestUnknownConfigFields:
         payload["config"]["km_workers"] = 2
         return payload
 
-    def test_from_dict_names_the_field(self):
-        data = dict(to_dict(CONFIG), km_workers=2, zz_unknown=1)
-        with pytest.raises(SerializationError, match="'km_workers', 'zz_unknown'"):
+    @pytest.mark.parametrize(
+        "name",
+        ["km_workers", "km_order", "successor_memo_limit", "child_input_memo_limit"],
+    )
+    def test_from_dict_names_the_field(self, name):
+        data = dict(to_dict(CONFIG), **{name: 0}, zz_unknown=1)
+        with pytest.raises(SerializationError, match=f"'{name}', 'zz_unknown'"):
             from_dict(data)
 
     def test_from_payload_rejects(self):

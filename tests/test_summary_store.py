@@ -28,7 +28,7 @@ from repro.service.jobs import (
 )
 from repro.service.pool import execute_job
 from repro.service.summaries import decode_record
-from repro.verifier import Verifier, VerifierConfig
+from repro.verifier import Verifier, VerifierConfig, engine
 
 CONFIG = VerifierConfig(km_budget=60_000, time_limit_seconds=60.0)
 GEN_CONFIG = GenConfig(max_depth=3, max_children=2)
@@ -301,36 +301,20 @@ class TestLimitSoundness:
         outcome = execute_job(_job(sc, strict), summary_store=store)
         assert outcome.status == STATUS_BUDGET_EXCEEDED
 
-    def test_child_input_memo_cap_is_invisible(self):
+    def test_child_input_memo_cap_is_invisible(self, monkeypatch):
         """The memo is a pure cache: disabling it (limit 0) must not
         change the verdict or the exploration."""
         sc = _scenario(6, 0)
         default = Verifier(sc.has, CONFIG)
         r_default = default.verify(sc.prop)
         assert len(default._child_input_memo) > 0
-        capped_config = VerifierConfig(
-            km_budget=60_000, time_limit_seconds=60.0, child_input_memo_limit=0
-        )
-        capped = Verifier(sc.has, capped_config)
+        monkeypatch.setattr(engine, "CHILD_INPUT_MEMO_LIMIT", 0)
+        capped = Verifier(sc.has, CONFIG)
         r_capped = capped.verify(sc.prop)
         assert len(capped._child_input_memo) == 0
         assert r_capped.holds == r_default.holds
         assert r_capped.stats.km_nodes == r_default.stats.km_nodes
         assert r_capped.stats.summaries == r_default.stats.summaries
-
-    def test_child_input_memo_limit_default_keeps_job_keys(self):
-        """The new knob serializes only when non-default, so existing
-        job content hashes (and result-cache keys) are unchanged."""
-        sc = _scenario(1, 1)
-        explicit = VerifierConfig(
-            km_budget=60_000, time_limit_seconds=60.0,
-            child_input_memo_limit=200_000,
-        )
-        assert _job(sc, CONFIG).key() == _job(sc, explicit).key()
-        different = VerifierConfig(
-            km_budget=60_000, time_limit_seconds=60.0, child_input_memo_limit=7
-        )
-        assert _job(sc, CONFIG).key() != _job(sc, different).key()
 
 
 # ----------------------------------------------------------------------
