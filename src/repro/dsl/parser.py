@@ -1020,9 +1020,6 @@ class _Parser:
             return -value if negative else value  # type: ignore[operator]
         if negative:
             raise self.error("expected a number after `-`")
-        if token.kind in (IDENT, STRING):
-            self.next()
-            return token.text
         raise self.error("expected a config value")
 
 

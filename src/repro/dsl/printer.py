@@ -432,8 +432,6 @@ def _config_value(value) -> str:
         if any(ch in rendered for ch in "einEIN"):
             raise DslPrintError(f"config float {value!r} is not expressible")
         return rendered
-    if isinstance(value, str):
-        return _name(value)
     raise DslPrintError(f"config value {value!r} is not expressible")
 
 

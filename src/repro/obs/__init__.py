@@ -1,8 +1,8 @@
 """Observability for the verification stack (``repro.obs``).
 
-Three pieces, all observationally invisible to the verifier (verdicts,
-witnesses, KM node counts, and job hashes are byte-identical with
-tracing on or off — A/B-tested in ``tests/test_obs.py``):
+The pieces are all observationally invisible to the verifier
+(verdicts, witnesses, KM node counts, and job hashes are byte-identical
+with tracing on or off — A/B-tested in ``tests/test_obs.py``):
 
 * :mod:`repro.obs.trace` — a dependency-free span/event tracer with
   process-global enablement, monotonic-clock timestamps, and a JSONL
@@ -13,12 +13,17 @@ tracing on or off — A/B-tested in ``tests/test_obs.py``):
   live event stream (the ``--progress`` flag);
 * :mod:`repro.obs.report` — the offline analyzer behind
   ``python -m repro report <trace.jsonl>``: per-phase time breakdown and
-  cache-rate tables.
+  cache-rate tables;
+* :mod:`repro.obs.attribution` — the always-on per-(task, service)
+  search-cost registry;
+* :mod:`repro.obs.metrics` — the one read path over the metric
+  registries: ``snapshot`` / ``delta`` / ``since`` for per-job and
+  per-span deltas, ``merge`` for every batch, trace and bench sum.
 
-The always-on aggregate metrics the tracer snapshots — cache hit/miss
-counters and sampled per-phase timers — live one layer down, in
-:mod:`repro.perf.counters` and :mod:`repro.perf.phases`, so the arith
-and symbolic layers can feed them without importing this package.
+Two of those registries — cache hit/miss counters and sampled
+per-phase timers — live one layer down, in :mod:`repro.perf.counters`
+and :mod:`repro.perf.phases`, so the arith and symbolic layers can feed
+them without importing this package.
 
 See ``docs/observability.md`` for the event schema, the heartbeat
 format, and the overhead contract.

@@ -186,58 +186,9 @@ class AttributionRegistry:
             }
         return {label: table[label] for label in sorted(table)}
 
-    def since(self, baseline: dict[str, dict]) -> dict[str, dict]:
-        """Per-construct deltas relative to an earlier :meth:`snapshot`;
-        rows that saw no activity in the window are dropped."""
-        deltas: dict[str, dict] = {}
-        for label, entry in self.snapshot().items():
-            base = baseline.get(label, {})
-            delta = {
-                key: (
-                    entry[key]
-                    if key == "task"
-                    else entry[key] - base.get(key, 0)
-                )
-                for key in entry
-            }
-            if (
-                delta["expansions"]
-                or delta["successors"]
-                or delta["fm_samples"]
-                or delta["canon_samples"]
-            ):
-                deltas[label] = delta
-        return deltas
-
     def reset(self) -> None:
         self._cells.clear()
         self._context = None
-
-
-def merge_attribution(into: dict[str, dict], delta: dict) -> None:
-    """Accumulate one attribution table into another (suite aggregation,
-    trace summarization).  Numeric fields add; ``task`` passes through."""
-    if not isinstance(delta, dict):
-        return
-    for label, entry in delta.items():
-        if not isinstance(entry, dict):
-            continue
-        bucket = into.get(label)
-        if bucket is None:
-            bucket = into[label] = {
-                "task": entry.get("task", ""),
-                "expansions": 0,
-                "successors": 0,
-                "depth_sum": 0,
-                "fm_sampled_seconds": 0.0,
-                "fm_samples": 0,
-                "canon_sampled_seconds": 0.0,
-                "canon_samples": 0,
-            }
-        for key, value in entry.items():
-            if key == "task" or not isinstance(value, (int, float)):
-                continue
-            bucket[key] = bucket.get(key, 0) + value
 
 
 #: The process-global attribution registry the VASS/verifier layers feed.

@@ -37,6 +37,7 @@ import json
 from pathlib import Path
 from typing import Iterable
 
+from repro.obs.report import summarize
 from repro.perf.phases import PHASE_NAMES, PhaseTimers
 
 #: pid of the main (tracing) process track in the Chrome export.
@@ -324,34 +325,9 @@ def to_speedscope(events: list[dict]) -> dict:
     ]
 
     # -- sampled profile: estimated seconds per phase, one frame each
-    merged: dict[str, dict] = {}
-    for record in events:
-        source = record.get("phases")
-        if record.get("ev") == "job_finish" and isinstance(source, dict):
-            for name, entry in source.items():
-                if not isinstance(entry, dict):
-                    continue
-                bucket = merged.setdefault(
-                    name, {"calls": 0, "timed": 0, "seconds": 0.0}
-                )
-                bucket["calls"] += entry.get("calls", 0)
-                bucket["timed"] += entry.get("timed", 0)
-                bucket["seconds"] += entry.get("seconds", 0.0)
-    if not merged:  # bare-engine trace: fall back to verify spans
-        for record in events:
-            if record.get("ev") == "span" and record.get("name") == "verify":
-                source = record.get("phases")
-                if isinstance(source, dict):
-                    for name, entry in source.items():
-                        if not isinstance(entry, dict):
-                            continue
-                        bucket = merged.setdefault(
-                            name, {"calls": 0, "timed": 0, "seconds": 0.0}
-                        )
-                        bucket["calls"] += entry.get("calls", 0)
-                        bucket["timed"] += entry.get("timed", 0)
-                        bucket["seconds"] += entry.get("seconds", 0.0)
-    estimate = PhaseTimers.estimate(merged)
+    # (the same sources `repro report` sums: job_finish records, else
+    # verify spans)
+    estimate = PhaseTimers.estimate(summarize(events).phases)
     samples: list[list[int]] = []
     weights: list[float] = []
     ordered = [name for name in PHASE_NAMES if name in estimate]

@@ -30,7 +30,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable
 
-from repro.obs.attribution import UNATTRIBUTED, merge_attribution
+from repro.obs import metrics
+from repro.obs.attribution import UNATTRIBUTED
 from repro.perf.counters import PerfCounters
 from repro.perf.phases import PHASE_NAMES, PhaseTimers
 
@@ -107,24 +108,6 @@ class TraceSummary:
         return rows
 
 
-def _merge_phases(into: dict[str, dict], delta: dict) -> None:
-    for name, entry in delta.items():
-        if not isinstance(entry, dict):
-            continue
-        bucket = into.setdefault(
-            name, {"calls": 0, "timed": 0, "seconds": 0.0}
-        )
-        bucket["calls"] += entry.get("calls", 0)
-        bucket["timed"] += entry.get("timed", 0)
-        bucket["seconds"] += entry.get("seconds", 0.0)
-
-
-def _merge_counters(into: dict[str, int], delta: dict) -> None:
-    for name, value in delta.items():
-        if isinstance(value, int):
-            into[name] = into.get(name, 0) + value
-
-
 def summarize(events: Iterable[dict]) -> TraceSummary:
     """Aggregate a trace: per-job records from ``job_finish`` events, or —
     for bare-engine traces without the service layer — ``verify`` spans."""
@@ -138,6 +121,7 @@ def summarize(events: Iterable[dict]) -> TraceSummary:
         elif kind == "span" and record.get("name") == "verify":
             verify_spans.append(record)
     sources = summary.jobs if summary.jobs else verify_spans
+    totals = {kind: getattr(summary, kind) for kind in metrics.KINDS}
     for record in sources:
         if summary.jobs:
             summary.wall_seconds += record.get(
@@ -145,9 +129,7 @@ def summarize(events: Iterable[dict]) -> TraceSummary:
             )
         else:
             summary.wall_seconds += record.get("dur", 0.0)
-        _merge_phases(summary.phases, record.get("phases") or {})
-        _merge_counters(summary.counters, record.get("counters") or {})
-        merge_attribution(summary.attribution, record.get("attribution") or {})
+        metrics.merge(totals, record)
     return summary
 
 

@@ -1,6 +1,6 @@
 """Performance instrumentation and the tracked benchmark harness.
 
-Two pieces:
+Three pieces:
 
 * :mod:`repro.perf.counters` — a process-global registry of cache
   hit/miss counters incremented by the hot-path caches (constraint-store
@@ -8,10 +8,15 @@ Two pieces:
   successor memoization, child summaries).  Reading it costs a dict
   copy; incrementing it costs one integer add, so the counters stay on
   even in production runs.
+* :mod:`repro.perf.phases` — the sampled per-phase wall-clock timers.
 * :mod:`repro.perf.bench` — named benchmark families over the Table 1/2
   workload grids and the travel example, recorded to machine-readable
   ``BENCH_<family>.json`` files and regression-compared against a
   tracked baseline (``python -m repro bench --record / --compare``).
+
+Both registries only record; reads go through :mod:`repro.obs.metrics`,
+one layer up, except ``COUNTERS.snapshot()`` / ``.since()`` for callers
+that want only the flat counters.
 
 Only the counters are re-exported here: the arith and symbolic layers
 import them from the bottom of the dependency graph, so this package

@@ -11,9 +11,8 @@ executes one family in-process, measuring
 * **wall time** — best of ``reps`` repetitions of the whole bundle
   (min, not mean: the minimum is the least noisy estimator of the code's
   actual cost under scheduler jitter);
-* **KM nodes** — total symbolic states constructed (deterministic for
-  the deterministic families; a *throughput* proxy for the time-boxed
-  one);
+* **KM nodes** — total symbolic states constructed (deterministic:
+  no family is wall-clock-boxed);
 * **cache hit rates** — from :mod:`repro.perf.counters`, measured on the
   first repetition only (later reps would over-report warm-cache rates
   that a fresh process never sees);
@@ -41,16 +40,11 @@ from typing import Callable, Iterable, Iterator
 from repro.arith import fm
 from repro.database.fkgraph import SchemaClass
 from repro.errors import BudgetExceeded, ReproError
-from repro.examples.travel import (
-    discount_policy_property,
-    discount_policy_property_lite,
-    travel_booking,
-    travel_lite,
-)
+from repro.examples.travel import discount_policy_property_lite, travel_lite
 from repro.fuzz.coverage import COVERAGE
-from repro.obs import trace
+from repro.obs import metrics, trace
 from repro.obs.attribution import ATTRIBUTION
-from repro.perf.counters import COUNTERS, PerfCounters
+from repro.perf.counters import PerfCounters
 from repro.perf.phases import PHASES, PhaseTimers
 from repro.symbolic import store as symbolic_store
 from repro.verifier.config import VerifierConfig
@@ -119,27 +113,6 @@ def _travel_lite_family() -> list[BenchJob]:
             )
         )
     return jobs
-
-
-def _travel_full_family() -> list[BenchJob]:
-    """The six-task Appendix A policy check, wall-clock-boxed.
-
-    The full check needs minutes; boxing it to a fixed deadline turns it
-    into a *throughput* benchmark — the interesting series is KM nodes
-    explored within the box (higher is better), with wall time pinned at
-    the deadline."""
-    has = travel_booking(fixed=False)
-    config = VerifierConfig(
-        km_budget=1_000_000, max_summaries=100_000, time_limit_seconds=10.0
-    )
-    return [
-        BenchJob(
-            f"{has.name}::discount-policy (10s box)",
-            has,
-            discount_policy_property(has),
-            config,
-        )
-    ]
 
 
 def _scenario_families() -> list[BenchJob]:
@@ -248,7 +221,6 @@ _FAMILIES: dict[str, Callable[[], list]] = {
     "table1": lambda: _table_family(table1_workload),
     "table2": lambda: _table_family(table2_workload),
     "travel-lite": _travel_lite_family,
-    "travel-full": _travel_full_family,
     "scenario-families": _scenario_families,
     "incremental": _incremental_pairs,
 }
@@ -257,11 +229,6 @@ _FAMILIES: dict[str, Callable[[], list]] = {
 _RUNNERS: dict[str, Callable[[Iterable], tuple[float, int, list[dict]]]] = {
     "incremental": _run_incremental,
 }
-
-#: Families whose KM-node totals are deterministic (no wall-clock box).
-_DETERMINISTIC = frozenset(
-    {"table1", "table2", "travel-lite", "scenario-families", "incremental"}
-)
 
 
 def family_names() -> tuple[str, ...]:
@@ -281,8 +248,7 @@ def _run_jobs(jobs: Iterable[BenchJob]) -> tuple[float, int, list[dict]]:
             km = result.stats.km_nodes
         except BudgetExceeded as exc:
             status = "budget_exceeded"
-            # completed explorations plus the one the budget interrupted:
-            # a monotone throughput proxy for wall-clock-boxed jobs
+            # completed explorations plus the one the budget interrupted
             km = verifier.stats.km_nodes + int(
                 getattr(exc, "states_explored", 0)
             )
@@ -312,23 +278,19 @@ def run_family(name: str, reps: int = 3) -> dict:
     # leave a short family with zero sampled activations in some phase;
     # resetting makes the recorded phases match a cold-start CLI run
     PHASES.reset()
-    deterministic = name in _DETERMINISTIC
     runner = _RUNNERS.get(name, _run_jobs)
     walls: list[float] = []
     km_nodes = 0
     outcomes: list[dict] = []
-    counters: dict[str, int] = {}
-    phases: dict[str, dict] = {}
+    baseline = metrics.snapshot()
     for rep in range(max(1, reps)):
-        baseline = COUNTERS.snapshot()
-        phases_baseline = PHASES.snapshot()
         wall, km, out = runner(jobs)
         walls.append(wall)
         if rep == 0:
-            counters = COUNTERS.since(baseline)
-            phases = PHASES.since(phases_baseline)
+            delta = metrics.since(baseline)
+            counters, phases = delta["counters"], delta["phases"]
             km_nodes, outcomes = km, out
-        elif deterministic and out != outcomes:
+        elif out != outcomes:
             raise RuntimeError(
                 f"family {name!r} is not deterministic across repetitions: "
                 f"verdicts changed between rep 0 and rep {rep}"
@@ -336,7 +298,6 @@ def run_family(name: str, reps: int = 3) -> dict:
     return {
         "schema_version": BENCH_SCHEMA_VERSION,
         "family": name,
-        "deterministic": deterministic,
         "jobs": outcomes,
         "wall_seconds": min(walls),
         "wall_seconds_all_reps": walls,
@@ -493,12 +454,11 @@ def compare_records(
 
     Returns ``(regressions, drifts, notes)``:
 
-    * *regressions* — wall-time slowdowns beyond ``threshold`` (and
-      boxed-family throughput drops);
-    * *drifts* — a deterministic family's per-job verdict fingerprint
-      changing, which is a **semantic** change (different verdicts or
-      node counts for identical inputs), never acceptable as noise;
-    * *notes* — informative lines (speedups, node-count changes).
+    * *regressions* — wall-time slowdowns beyond ``threshold``;
+    * *drifts* — the per-job verdict fingerprint changing, which is a
+      **semantic** change (different verdicts or node counts for
+      identical inputs), never acceptable as noise;
+    * *notes* — informative lines (wall ratios).
     """
     regressions: list[str] = []
     drifts: list[str] = []
@@ -518,21 +478,11 @@ def compare_records(
                 f"{family}: wall {cur_wall:.3f}s vs baseline {base_wall:.3f}s "
                 f"(×{ratio:.2f})"
             )
-    if current.get("deterministic") and baseline.get("deterministic"):
-        if current.get("jobs") != baseline.get("jobs"):
-            drifts.append(
-                f"{family}: verdict fingerprint drifted from baseline "
-                f"(semantic change, not a perf regression)"
-            )
-    elif "km_nodes" in baseline:
-        base_km, cur_km = baseline["km_nodes"], current.get("km_nodes", 0)
-        if base_km and cur_km < base_km * (1 - threshold):
-            regressions.append(
-                f"{family}: throughput {cur_km} KM nodes vs baseline "
-                f"{base_km} within the same box"
-            )
-        else:
-            notes.append(f"{family}: {cur_km} KM nodes vs baseline {base_km}")
+    if current.get("jobs") != baseline.get("jobs"):
+        drifts.append(
+            f"{family}: verdict fingerprint drifted from baseline "
+            f"(semantic change, not a perf regression)"
+        )
     return regressions, drifts, notes
 
 

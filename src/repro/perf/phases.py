@@ -142,20 +142,6 @@ class PhaseTimers:
             for name, timer in self._timers.items()
         }
 
-    def since(self, baseline: dict[str, dict[str, float]]) -> dict[str, dict]:
-        """Per-phase deltas relative to an earlier :meth:`snapshot`."""
-        deltas: dict[str, dict] = {}
-        for name, timer in self._timers.items():
-            base = baseline.get(name, {})
-            delta = {
-                "calls": timer.calls - base.get("calls", 0),
-                "timed": timer.timed - base.get("timed", 0),
-                "seconds": timer.seconds - base.get("seconds", 0.0),
-            }
-            if delta["calls"] or delta["seconds"]:
-                deltas[name] = delta
-        return deltas
-
     @staticmethod
     def estimate(delta: dict[str, dict]) -> dict[str, float]:
         """Estimated wall seconds per phase from a snapshot/delta dict,

@@ -128,16 +128,10 @@ def _add_summary_cache_arguments(parser: argparse.ArgumentParser) -> None:
         "by subtree content, so reuse is observationally invisible — "
         "verdicts and witnesses stay byte-identical)",
     )
-    parser.add_argument(
-        "--no-summary-reuse",
-        action="store_true",
-        help="disable cross-job summary reuse even when --summary-cache "
-        "is set (A/B runs, wrapper scripts)",
-    )
 
 
 def _summary_store_from_args(args: argparse.Namespace):
-    if args.no_summary_reuse or not args.summary_cache:
+    if not args.summary_cache:
         return None
     from repro.service.cache import SummaryStore
 
@@ -460,9 +454,8 @@ def _cmd_bench_record(args: argparse.Namespace) -> int:
     then checks those records against the same-named baselines in DIR.
     Exit codes extend the verify contract without clashing with it
     (0 holds / 1 violated / 2 budget-error): **3** — a family regressed
-    in wall time / boxed throughput beyond ``--threshold``; **4** — a
-    deterministic family's verdict fingerprint drifted, which is a
-    semantic change, not noise.  Missing baselines are reported but
+    in wall time beyond ``--threshold``; **4** — a family's verdict
+    fingerprint drifted, which is a semantic change, not noise.  Missing baselines are reported but
     never fail (the soft-gate contract)."""
     from repro.perf import bench as perf_bench
 

@@ -162,18 +162,19 @@ class JobOutcome:
     (``verify --json`` exposes it); None for budget/error outcomes and
     records predating the field."""
     counters: dict | None = None
-    """This job's :mod:`repro.perf.counters` deltas, snapshotted in the
-    process that ran it — the worker's, under ``workers>1`` — so batch
-    aggregation sees every process's cache traffic, not just the
-    parent's.  None on cache hits (the job did no work this run)."""
+    """This job's :mod:`repro.perf.counters` deltas, taken by
+    :func:`repro.obs.metrics.since` in the process that ran it — the
+    worker's, under ``workers>1`` — so batch aggregation sees every
+    process's cache traffic, not just the parent's.  None on cache hits
+    (the job did no work this run)."""
     phases: dict | None = None
-    """This job's sampled per-phase timings
-    (:meth:`repro.perf.phases.PhaseTimers.since` delta), captured like
-    ``counters``; covers verification *and* witness concretization."""
+    """This job's sampled per-phase timings (:mod:`repro.perf.phases`),
+    captured like ``counters``; covers verification *and* witness
+    concretization."""
     attribution: dict | None = None
     """Per-(task, service) search-cost attribution
-    (:meth:`repro.obs.attribution.AttributionRegistry.since` delta),
-    captured like ``counters``; None on cache hits."""
+    (:mod:`repro.obs.attribution`), captured like ``counters``; None on
+    cache hits."""
     total_seconds: float = 0.0
     """Wall clock for the whole job including witness concretization
     (``wall_seconds`` measures verification only)."""

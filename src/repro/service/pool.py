@@ -16,10 +16,7 @@ from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from typing import Callable, Iterable, Sequence
 
 from repro.errors import BudgetExceeded
-from repro.obs import trace
-from repro.obs.attribution import ATTRIBUTION
-from repro.perf.counters import COUNTERS
-from repro.perf.phases import PHASES
+from repro.obs import metrics, trace
 from repro.service.jobs import (
     JobOutcome,
     STATUS_BUDGET_EXCEEDED,
@@ -48,19 +45,17 @@ def execute_payload(payload: dict, summary_store=None) -> dict:
     exhaustion, malformed payloads, and unexpected verifier errors all
     come back as structured outcomes so one job can never poison a batch.
 
-    Every outcome carries the executing process's cache-counter and
-    phase-timer deltas (``JobOutcome.counters`` / ``.phases``) — workers
-    die with their process-global ``COUNTERS``, so the snapshot riding
-    the outcome is the only way suite-level hit rates stay correct under
-    ``workers>1``.
+    Every outcome carries the executing process's metric deltas
+    (``JobOutcome.counters`` / ``.phases`` / ``.attribution``, one
+    :func:`repro.obs.metrics.since`) — workers die with their
+    process-global registries, so the deltas riding the outcome are the
+    only way suite-level totals stay correct under ``workers>1``.
 
     ``summary_store`` (a store object, or a directory path when crossing
     the process boundary) enables the persistent cross-job summary tier.
     """
     started = time.monotonic()
-    counters_baseline = COUNTERS.snapshot()
-    phases_baseline = PHASES.snapshot()
-    attribution_baseline = ATTRIBUTION.snapshot()
+    baseline = metrics.snapshot()
     name = str(payload.get("name", "?")) if isinstance(payload, dict) else "?"
     key = str(payload.get("key", "")) if isinstance(payload, dict) else ""
     expected = payload.get("expected_holds") if isinstance(payload, dict) else None
@@ -108,9 +103,10 @@ def execute_payload(payload: dict, summary_store=None) -> dict:
         outcome = JobOutcome.from_result(job, result, wall_seconds=verify_seconds)
         outcome.witness_json = witness_json
     outcome.total_seconds = time.monotonic() - started
-    outcome.counters = COUNTERS.since(counters_baseline)
-    outcome.phases = PHASES.since(phases_baseline)
-    outcome.attribution = ATTRIBUTION.since(attribution_baseline)
+    delta = metrics.since(baseline)
+    outcome.counters = delta["counters"]
+    outcome.phases = delta["phases"]
+    outcome.attribution = delta["attribution"]
     trace.event(
         "job_finish",
         name=outcome.name,

@@ -14,8 +14,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Sequence
 
-from repro.obs import trace
-from repro.obs.attribution import merge_attribution
+from repro.obs import metrics, trace
 from repro.perf.counters import PerfCounters
 from repro.service.cache import ResultCache
 from repro.service.jobs import (
@@ -102,58 +101,26 @@ class BatchReport:
                     summary_hits=per_job.get("summary_hits", 0),
                     summaries_reused=per_job.get("summaries_reused", 0),
                     km_nodes_reused=per_job.get("km_nodes_reused", 0),
-                    fm_seconds=per_job.get("fm_seconds", 0.0),
-                    canon_seconds=per_job.get("canon_seconds", 0.0),
-                    expand_seconds=per_job.get("expand_seconds", 0.0),
                 )
             )
         return stats
 
-    def merged_counters(self) -> dict[str, int]:
-        """Cache hit/miss counters summed across every process that did
-        work this run — each live outcome carries the deltas snapshotted
-        in the process that executed it (``JobOutcome.counters``), so
-        worker-process cache traffic is counted even though the workers'
-        ``COUNTERS`` died with them.  Cache hits are excluded: their
-        stored deltas describe the run that populated the cache, not
-        this one."""
-        totals: dict[str, int] = {}
+    def merged_metrics(self) -> dict[str, dict]:
+        """Every metric kind (:data:`repro.obs.metrics.KINDS`) summed
+        across the processes that did work this run — each live outcome
+        carries the deltas taken in the process that executed it, so
+        worker-process activity is counted even though the workers'
+        registries died with them.  Cache hits are excluded: their stored
+        deltas describe the run that populated the cache, not this one."""
+        totals: dict[str, dict] = {kind: {} for kind in metrics.KINDS}
         for outcome in self.outcomes:
-            if outcome.cache_hit or not outcome.counters:
-                continue
-            for name, value in outcome.counters.items():
-                totals[name] = totals.get(name, 0) + value
+            if not outcome.cache_hit:
+                metrics.merge(totals, outcome)
         return totals
 
     def merged_rates(self) -> dict[str, float | None]:
         """Suite-level cache hit rates (None = never consulted)."""
-        return PerfCounters.rates(self.merged_counters())
-
-    def merged_phases(self) -> dict[str, dict]:
-        """Sampled per-phase timings summed across live outcomes (same
-        exclusion rules as :meth:`merged_counters`)."""
-        totals: dict[str, dict] = {}
-        for outcome in self.outcomes:
-            if outcome.cache_hit or not outcome.phases:
-                continue
-            for name, entry in outcome.phases.items():
-                bucket = totals.setdefault(
-                    name, {"calls": 0, "timed": 0, "seconds": 0.0}
-                )
-                bucket["calls"] += entry.get("calls", 0)
-                bucket["timed"] += entry.get("timed", 0)
-                bucket["seconds"] += entry.get("seconds", 0.0)
-        return totals
-
-    def merged_attribution(self) -> dict[str, dict]:
-        """Per-(task, service) search attribution summed across live
-        outcomes (same exclusion rules as :meth:`merged_counters`)."""
-        totals: dict[str, dict] = {}
-        for outcome in self.outcomes:
-            if outcome.cache_hit or not outcome.attribution:
-                continue
-            merge_attribution(totals, outcome.attribution)
-        return totals
+        return PerfCounters.rates(self.merged_metrics()["counters"])
 
     # ------------------------------------------------------------------
     # rendering / export
@@ -194,6 +161,7 @@ class BatchReport:
             for outcome in self.outcomes:
                 handle.write(json.dumps(outcome.to_dict(), sort_keys=True) + "\n")
             stats = self.merged_stats()
+            totals = self.merged_metrics()
             handle.write(
                 json.dumps(
                     {
@@ -208,12 +176,10 @@ class BatchReport:
                         "wall_seconds": self.wall_seconds,
                         "km_nodes": stats.km_nodes,
                         "summaries": stats.summaries,
-                        # cross-process metrics: counters/phases from every
-                        # executing process, rates with null = unconsulted
-                        "counters": self.merged_counters(),
-                        "rates": self.merged_rates(),
-                        "phases": self.merged_phases(),
-                        "attribution": self.merged_attribution(),
+                        # cross-process metrics from every executing
+                        # process, rates with null = unconsulted
+                        **totals,
+                        "rates": PerfCounters.rates(totals["counters"]),
                     },
                     sort_keys=True,
                 )

@@ -16,10 +16,10 @@ from typing import Mapping
 from repro.errors import BudgetExceeded, SpecificationError
 from repro.fuzz.coverage import COVERAGE
 from repro.has.restrictions import validate_has
-from repro.obs import trace
+from repro.obs import metrics, trace
 from repro.obs.attribution import ATTRIBUTION
 from repro.perf.counters import COUNTERS
-from repro.perf.phases import PHASES, PhaseTimers
+from repro.perf.phases import PHASES
 from repro.has.system import HAS
 from repro.has.task import Task
 from repro.hltl.formulas import (
@@ -122,7 +122,9 @@ class Verifier:
             extra["nodes"] = len(graph.nodes)
             extra["budget_exhausted"] = graph.budget_exhausted
             if attr_base is not None:
-                extra["attribution"] = ATTRIBUTION.since(attr_base)
+                extra["attribution"] = metrics.delta(
+                    ATTRIBUTION.snapshot(), attr_base
+                )
         if graph.budget_exhausted:
             COVERAGE.hit("engine:budget:boxed")
             # don't count the truncated graph in stats: the exception
@@ -350,31 +352,21 @@ class Verifier:
         _reject_set_atoms(prop)
         self.compiled = CompiledProperty(self.has, prop)
         self.stats = VerificationStats()
-        phases_baseline = PHASES.snapshot()
-        attr_baseline = ATTRIBUTION.snapshot() if trace.enabled() else None
-        try:
-            with trace.span("verify", property=prop.name) as extra:
-                result = self._verify_compiled(prop)
-                extra["holds"] = result.holds
-                extra["witness_kind"] = result.witness_kind
-                extra["km_nodes"] = self.stats.km_nodes
-                extra["summaries"] = self.stats.summaries
-                phases_delta = PHASES.since(phases_baseline)
-                extra["phases"] = phases_delta
-                if attr_baseline is not None:
-                    extra["attribution"] = ATTRIBUTION.since(attr_baseline)
-        finally:
-            # attribute phase time even when the budget aborted the search
-            # (the pool reports partial stats for budget-exceeded jobs)
-            self._record_phase_seconds(phases_baseline)
+        # the span's metric deltas are pure reporting cost: read them
+        # only when a trace wants them
+        baseline = metrics.snapshot() if trace.enabled() else None
+        with trace.span("verify", property=prop.name) as extra:
+            result = self._verify_compiled(prop)
+            extra["holds"] = result.holds
+            extra["witness_kind"] = result.witness_kind
+            extra["km_nodes"] = self.stats.km_nodes
+            extra["summaries"] = self.stats.summaries
+            if baseline is not None:
+                delta = metrics.since(baseline)
+                extra["phases"] = delta["phases"]
+                extra["attribution"] = delta["attribution"]
         self.stats.wall_seconds = time.monotonic() - started
         return result
-
-    def _record_phase_seconds(self, baseline: dict) -> None:
-        estimate = PhaseTimers.estimate(PHASES.since(baseline))
-        self.stats.fm_seconds = estimate.get("fm", 0.0)
-        self.stats.canon_seconds = estimate.get("canon", 0.0)
-        self.stats.expand_seconds = estimate.get("expand", 0.0)
 
     def _verify_compiled(self, prop: HLTLProperty) -> VerificationResult:
         """The search proper: root exploration plus witness extraction."""

@@ -65,18 +65,7 @@ class VerificationStats:
     km_nodes_reused: int = 0
     """KM nodes credited from store-installed summaries (a subset of
     ``km_nodes``: the exploration the persistent store saved)."""
-    condition_branches: int = 0
     wall_seconds: float = 0.0
-    fm_seconds: float = 0.0
-    """Estimated wall seconds in Fourier–Motzkin decisions/projections
-    (sampled; see :mod:`repro.perf.phases`)."""
-    canon_seconds: float = 0.0
-    """Estimated wall seconds recomputing store canonical keys."""
-    expand_seconds: float = 0.0
-    """Wall seconds inside Karp–Miller graph construction (outermost
-    explorations only — child-summary expansions nested in a parent's
-    are not double-counted; fm/canon time is *included*, so subtract
-    them for the exclusive expansion cost)."""
 
     def merge(self, other: "VerificationStats") -> "VerificationStats":
         """Accumulate another run's statistics into this one (batch
@@ -86,11 +75,7 @@ class VerificationStats:
         self.summary_hits += other.summary_hits
         self.summaries_reused += other.summaries_reused
         self.km_nodes_reused += other.km_nodes_reused
-        self.condition_branches += other.condition_branches
         self.wall_seconds += other.wall_seconds
-        self.fm_seconds += other.fm_seconds
-        self.canon_seconds += other.canon_seconds
-        self.expand_seconds += other.expand_seconds
         return self
 
     def to_dict(self) -> dict:
@@ -101,11 +86,7 @@ class VerificationStats:
             "summary_hits": self.summary_hits,
             "summaries_reused": self.summaries_reused,
             "km_nodes_reused": self.km_nodes_reused,
-            "condition_branches": self.condition_branches,
             "wall_seconds": self.wall_seconds,
-            "fm_seconds": self.fm_seconds,
-            "canon_seconds": self.canon_seconds,
-            "expand_seconds": self.expand_seconds,
         }
 
 

@@ -371,6 +371,20 @@ class TestDocumentLevel:
                 """
             )
 
+    @pytest.mark.parametrize("value", ["fourty", '"40"'])
+    def test_string_config_value_rejected(self, value):
+        # no config field takes a string: a word or quoted value must fail
+        # at parse time, not load, key and then fail inside the verifier
+        text = (
+            "system s { schema { relation R(a: num) } task T { vars x: id } }\n"
+            "config {\n"
+            f"  km_budget: {value}\n"
+            "}\n"
+        )
+        with pytest.raises(DslSyntaxError, match="expected a config value") as excinfo:
+            loads(text, source="f.has")
+        assert "f.has:3:" in str(excinfo.value)
+
     def test_syntax_error_carries_location(self):
         with pytest.raises(DslSyntaxError) as excinfo:
             loads("system s {\n  schema { relation 9bad(a: num) }\n}", source="f.has")

@@ -13,11 +13,14 @@ import json
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.examples.travel import discount_policy_property_lite, travel_lite
-from repro.obs import trace
+from repro.obs import metrics, trace
+from repro.obs.attribution import AttributionRegistry
 from repro.obs.progress import Heartbeat
 from repro.obs.report import load_events, render, scrub_event, summarize
 from repro.perf.counters import PerfCounters
@@ -171,11 +174,12 @@ class TestPhaseTimers:
     def test_since_reports_deltas_only(self):
         timers = PhaseTimers()
         timers.add("fm", 1.0)
+        timers.add("expand", 2.0)
         baseline = timers.snapshot()
         timers.add("fm", 0.5)
         timers.add("canon", 0.25)
-        delta = timers.since(baseline)
-        assert set(delta) == {"fm", "canon"}
+        delta = metrics.delta(timers.snapshot(), baseline)
+        assert set(delta) == {"fm", "canon"}  # expand idle: dropped
         assert delta["fm"]["calls"] == 1
         assert delta["fm"]["seconds"] == pytest.approx(0.5)
 
@@ -339,22 +343,17 @@ class TestHeartbeat:
 # stats / outcome plumbing
 # ======================================================================
 class TestStatsPlumbing:
-    def test_stats_to_dict_and_merge_phase_seconds(self):
-        a = VerificationStats(
-            km_nodes=1, fm_seconds=0.5, canon_seconds=0.25, expand_seconds=1.0
-        )
-        b = VerificationStats(
-            km_nodes=2, fm_seconds=0.5, canon_seconds=0.25, expand_seconds=1.0
-        )
+    def test_stats_to_dict_and_merge(self):
+        a = VerificationStats(km_nodes=1, summaries=2, wall_seconds=0.5)
+        b = VerificationStats(km_nodes=2, summaries=1, wall_seconds=0.25)
         a.merge(b)
-        assert a.fm_seconds == pytest.approx(1.0)
-        assert a.canon_seconds == pytest.approx(0.5)
-        assert a.expand_seconds == pytest.approx(2.0)
-        d = a.to_dict()
-        assert {
-            "km_nodes", "summaries", "summary_hits", "condition_branches",
-            "wall_seconds", "fm_seconds", "canon_seconds", "expand_seconds",
-        } <= set(d)
+        assert (a.km_nodes, a.summaries) == (3, 3)
+        assert a.wall_seconds == pytest.approx(0.75)
+        # phase-time estimates ride the outcome's ``phases``, not stats
+        assert set(a.to_dict()) == {
+            "km_nodes", "summaries", "summary_hits", "summaries_reused",
+            "km_nodes_reused", "wall_seconds",
+        }
 
     def test_outcome_roundtrip_keeps_metrics(self):
         outcome = JobOutcome(
@@ -394,7 +393,8 @@ class TestCrossProcessMetrics:
         """Under workers>1 the workers' COUNTERS die with their process;
         the deltas must ride back on each JobOutcome and aggregate."""
         report = run_batch([_lite_job()], workers=2)
-        totals = report.merged_counters()
+        merged = report.merged_metrics()
+        totals = merged["counters"]
         # consultation totals, not misses: global caches may already be
         # warm when the whole suite runs in one process
         assert (
@@ -403,8 +403,7 @@ class TestCrossProcessMetrics:
         assert totals.get("store_key_misses", 0) > 0  # per-store, always cold
         rates = report.merged_rates()
         assert rates["fm_sat"] is not None and 0 <= rates["fm_sat"] <= 1
-        phases = report.merged_phases()
-        assert phases.get("expand", {}).get("calls", 0) >= 1
+        assert merged["phases"].get("expand", {}).get("calls", 0) >= 1
         assert "cache rates (all processes)" in report.format_report()
 
     def test_cache_hits_carry_no_metrics(self, tmp_path):
@@ -417,8 +416,167 @@ class TestCrossProcessMetrics:
         (outcome,) = warm.outcomes
         assert outcome.cache_hit
         assert outcome.counters is None and outcome.phases is None
-        assert warm.merged_counters() == {}
+        assert outcome.attribution is None
+        assert warm.merged_metrics() == {kind: {} for kind in metrics.KINDS}
         assert all(rate is None for rate in warm.merged_rates().values())
+
+
+# ======================================================================
+# the one metrics read path
+# ======================================================================
+_COUNTER_NAMES = tuple(PerfCounters().snapshot())
+_SERVICES = ("a", "b", "c")
+#: One registry action: (what, which counter/phase/service, amount).
+_ACTION = st.one_of(
+    st.tuples(st.just("count"), st.sampled_from(_COUNTER_NAMES), st.integers(1, 5)),
+    st.tuples(st.just("phase"), st.sampled_from(("fm", "canon", "expand")),
+              st.floats(0.0, 1.0)),
+    st.tuples(st.just("expand"), st.sampled_from(_SERVICES), st.integers(0, 9)),
+    st.tuples(st.just("successor"), st.sampled_from(_SERVICES), st.just(0)),
+    st.tuples(st.just("sample"), st.sampled_from(_SERVICES), st.floats(0.0, 1.0)),
+)
+_WINDOW = st.lists(_ACTION, max_size=12)
+
+
+def _act(registries, actions) -> None:
+    counters, phases, attribution = registries
+    for what, name, amount in actions:
+        tag = SimpleNamespace(task="T", service=name)
+        if what == "count":
+            setattr(counters, name, getattr(counters, name) + amount)
+        elif what == "phase":
+            phases.add(name, amount)
+        elif what == "expand":
+            attribution.record_expansion(tag, amount)
+        elif what == "successor":
+            attribution.record_successor(tag)
+        else:
+            attribution.set_context("T", name)
+            attribution._on_phase_sample("fm", amount)
+
+
+def _snapshot(registries) -> dict:
+    return {
+        kind: registry.snapshot()
+        for kind, registry in zip(metrics.KINDS, registries)
+    }
+
+
+def _deltas(now: dict, base: dict) -> dict:
+    return {kind: metrics.delta(now[kind], base[kind]) for kind in metrics.KINDS}
+
+
+def _counts(table: dict) -> dict:
+    """A phase/attribution table minus its (float) seconds fields."""
+    return {
+        label: {k: v for k, v in row.items() if "seconds" not in k}
+        for label, row in table.items()
+    }
+
+
+class TestMetricsReadPath:
+    @given(_WINDOW, _WINDOW, _WINDOW)
+    @settings(max_examples=100, deadline=None)
+    def test_merged_window_deltas_equal_the_spanning_delta(
+        self, before, first, second
+    ):
+        registries = (PerfCounters(), PhaseTimers(), AttributionRegistry())
+        _act(registries, before)
+        start = _snapshot(registries)
+        _act(registries, first)
+        middle = _snapshot(registries)
+        _act(registries, second)
+        end = _snapshot(registries)
+        merged: dict = {}
+        metrics.merge(merged, _deltas(middle, start))
+        metrics.merge(merged, _deltas(end, middle))
+        whole = _deltas(end, start)
+        # flat counters: every name, zero included, and exact
+        assert merged["counters"] == whole["counters"]
+        assert set(whole["counters"]) == set(_COUNTER_NAMES)
+        # rows: exactly the ones active in a window (idle rows absent)
+        window = first + second
+        assert set(whole["phases"]) == {n for w, n, _ in window if w == "phase"}
+        assert set(whole["attribution"]) == {
+            repr(n) for w, n, _ in window if w in ("expand", "successor", "sample")
+        }
+        for kind in ("phases", "attribution"):
+            assert _counts(merged[kind]) == _counts(whole[kind])
+            for label, row in whole[kind].items():
+                for field, value in row.items():
+                    if "seconds" in field:
+                        assert merged[kind][label][field] == pytest.approx(value)
+
+    def test_merge_accumulates_every_kind(self):
+        row = {
+            "task": "T", "expansions": 2, "successors": 3, "depth_sum": 4,
+            "fm_sampled_seconds": 0.5, "fm_samples": 1,
+            "canon_sampled_seconds": 0.0, "canon_samples": 0,
+        }
+        record = {
+            "counters": {"fm_sat_hits": 2, "fm_sat_misses": 1},
+            "phases": {"fm": {"calls": 3, "timed": 2, "seconds": 0.25}},
+            "attribution": {"'s'": row},
+        }
+        into: dict = {}
+        metrics.merge(into, record)
+        metrics.merge(into, record)
+        assert into["counters"] == {"fm_sat_hits": 4, "fm_sat_misses": 2}
+        assert into["phases"]["fm"]["calls"] == 6
+        assert into["phases"]["fm"]["seconds"] == pytest.approx(0.5)
+        cell = into["attribution"]["'s'"]
+        assert cell["expansions"] == 4 and cell["depth_sum"] == 8
+        assert cell["fm_sampled_seconds"] == pytest.approx(1.0)
+        assert row["expansions"] == 2  # the merged row is a copy
+        # a row's non-numbers keep their first value
+        metrics.merge(into, {"attribution": {"'s'": {"task": "U", "expansions": 1}}})
+        assert cell["task"] == "T" and cell["expansions"] == 5
+        # a JobOutcome carries the same kinds as attributes
+        metrics.merge(
+            into,
+            JobOutcome(name="j", key="k", status="holds", counters={"fm_sat_hits": 1}),
+        )
+        assert into["counters"]["fm_sat_hits"] == 5
+        # trace files come from outside: kinds and rows that aren't dicts
+        # are skipped
+        metrics.merge(
+            into,
+            {"counters": "garbage", "phases": ["fm"], "attribution": {"'s'": 7}},
+        )
+        assert into["counters"] == {"fm_sat_hits": 5, "fm_sat_misses": 2}
+        assert into["phases"]["fm"]["calls"] == 6 and cell["expansions"] == 5
+
+    @pytest.mark.slow
+    def test_batch_aggregate_and_trace_report_agree(self, tmp_path):
+        """The ``--jsonl`` aggregate and ``repro report`` of the same
+        traced ``workers=2`` run sum the same per-job deltas, so every
+        count agrees — including the kinds that only ride the outcome."""
+        jobs = []
+        for fixed in (False, True):
+            has = travel_lite(fixed)
+            jobs.append(
+                VerificationJob(
+                    has=has,
+                    prop=discount_policy_property_lite(has),
+                    config=VerifierConfig(km_budget=60_000),
+                    name=f"lite-{fixed}",
+                )
+            )
+        trace_path = tmp_path / "trace.jsonl"
+        trace.start(trace_path)
+        try:
+            report = run_batch(jobs, workers=2)
+        finally:
+            trace.stop()
+        report.to_jsonl(tmp_path / "suite.jsonl")
+        lines = (tmp_path / "suite.jsonl").read_text().splitlines()
+        aggregate = json.loads(lines[-1])
+        summary = summarize(load_events(trace_path))
+        assert len(summary.jobs) == 2
+        assert summary.counters and aggregate["counters"] == summary.counters
+        for kind in ("phases", "attribution"):
+            counts = _counts(getattr(summary, kind))
+            assert counts and _counts(aggregate[kind]) == counts
 
 
 # ======================================================================

@@ -21,13 +21,8 @@ from types import SimpleNamespace
 import pytest
 
 from repro.examples.travel import discount_policy_property_lite, travel_lite
-from repro.obs import trace
-from repro.obs.attribution import (
-    ATTRIBUTION,
-    UNATTRIBUTED,
-    AttributionRegistry,
-    merge_attribution,
-)
+from repro.obs import metrics, trace
+from repro.obs.attribution import ATTRIBUTION, UNATTRIBUTED, AttributionRegistry
 from repro.obs.export import (
     MAIN_PID,
     WORKERS_PID,
@@ -136,29 +131,11 @@ class TestAttributionRegistry:
         reg.record_expansion(_tag("B", "b"), depth=1)
         baseline = reg.snapshot()
         reg.record_expansion(_tag("B", "b"), depth=3)
-        delta = reg.since(baseline)
+        delta = metrics.delta(reg.snapshot(), baseline)
         assert list(delta) == ["'b'"]  # 'a' saw no activity in the window
         assert delta["'b'"]["expansions"] == 1
         assert delta["'b'"]["depth_sum"] == 3
         assert delta["'b'"]["task"] == "B"
-
-    def test_merge_attribution_accumulates(self):
-        into: dict = {}
-        delta = {
-            "'s'": {
-                "task": "T", "expansions": 2, "successors": 3,
-                "depth_sum": 4, "fm_sampled_seconds": 0.5, "fm_samples": 1,
-                "canon_sampled_seconds": 0.0, "canon_samples": 0,
-            }
-        }
-        merge_attribution(into, delta)
-        merge_attribution(into, delta)
-        assert into["'s'"]["expansions"] == 4
-        assert into["'s'"]["fm_sampled_seconds"] == pytest.approx(1.0)
-        assert into["'s'"]["task"] == "T"
-        merge_attribution(into, "not a dict")  # defensive: ignored
-        merge_attribution(into, {"'s'": "not a dict"})
-        assert into["'s'"]["expansions"] == 4
 
     def test_scrub_drops_sampled_seconds_keeps_counts(self):
         record = {

@@ -435,7 +435,6 @@ class TestBenchHarness:
         assert [p.name for p in paths] == ["BENCH_travel-lite.json"]
         record = load_record(paths[0])
         assert record["family"] == "travel-lite"
-        assert record["deterministic"] is True
         assert record["wall_seconds"] > 0
         assert record["km_nodes"] > 0
         statuses = {job["status"] for job in record["jobs"]}
@@ -445,7 +444,6 @@ class TestBenchHarness:
     def test_compare_flags_only_regressions(self):
         current = {
             "family": "f",
-            "deterministic": True,
             "wall_seconds": 1.0,
             "km_nodes": 10,
             "jobs": [{"name": "j", "status": "holds", "km_nodes": 10}],
@@ -461,7 +459,7 @@ class TestBenchHarness:
         close_baseline = dict(current, wall_seconds=0.9)
         regressions, drifts, _notes = compare_records(current, close_baseline)
         assert regressions == [] and drifts == []
-        # verdict drift on a deterministic family is semantic, not perf
+        # verdict drift is semantic, not perf
         drifted = dict(
             current,
             jobs=[{"name": "j", "status": "violated", "km_nodes": 10}],

@@ -336,15 +336,3 @@ class TestCLI:
         assert second["stats"]["summaries_reused"] == second["stats"]["summaries"] > 0
         assert second["status"] == first["status"] == "holds"
         assert second["km_nodes"] == first["km_nodes"]
-
-    def test_no_summary_reuse_wins(self, tmp_path, capsys):
-        from repro.service.cli import main as cli_main
-
-        cache = tmp_path / "summaries"
-        base = ["verify", "travel-lite-fixed", "--time-limit", "60",
-                "--summary-cache", str(cache), "--json"]
-        assert cli_main(base) == 0
-        capsys.readouterr()
-        assert cli_main(base + ["--no-summary-reuse"]) == 0
-        off = json.loads(capsys.readouterr().out)
-        assert off["stats"]["summaries_reused"] == 0
