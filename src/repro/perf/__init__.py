@@ -9,8 +9,9 @@ Three pieces:
   copy; incrementing it costs one integer add, so the counters stay on
   even in production runs.
 * :mod:`repro.perf.phases` — the sampled per-phase wall-clock timers.
-* :mod:`repro.perf.bench` — named benchmark families over the Table 1/2
-  workload grids and the travel example, recorded to machine-readable
+* :mod:`repro.perf.bench` — named benchmark families (four service
+  suites from :mod:`repro.service.suites`, plus the edit-adjacent
+  ``incremental`` pairs), recorded to machine-readable
   ``BENCH_<family>.json`` files and regression-compared against a
   tracked baseline (``python -m repro bench --record / --compare``).
 

@@ -1,12 +1,16 @@
 """The tracked benchmark harness: record families, compare baselines.
 
-A *family* is a named, deterministic bundle of verification jobs drawn
-from the Table 1/2 workload grids (``repro.workloads``) and the travel
-example — the same workloads the paper benchmarks.  The ``incremental``
-family instead measures the verify → edit one service → re-verify
-workflow through the persistent summary store (fuzz-derived
-edit-adjacent pairs; see :func:`_incremental_pairs`).  ``run_family``
-executes one family in-process, measuring
+A *family* is a named, deterministic bundle of verification jobs.  Four
+families are service suites (:func:`repro.service.suites.build_suite`),
+so the suite module alone decides which jobs they run: ``table1`` and
+``table2`` (the Table 1/2 grids), ``travel-lite`` (the quick ``travel``
+suite: the Appendix A travel-lite pair) and ``scenario-families`` (the
+``families`` suite).  The ``incremental`` family instead measures the
+verify → edit one service → re-verify workflow through the persistent
+summary store (fuzz-derived edit-adjacent pairs; see
+:func:`_incremental_pairs`).  ``run_family`` executes one family
+in-process, timing :meth:`Verifier.verify` directly (no pool, result
+cache or witness work), and measures
 
 * **wall time** — best of ``reps`` repetitions of the whole bundle
   (min, not mean: the minimum is the least noisy estimator of the code's
@@ -33,23 +37,22 @@ import json
 import platform
 import sys
 import time
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Iterator
 
 from repro.arith import fm
-from repro.database.fkgraph import SchemaClass
 from repro.errors import BudgetExceeded, ReproError
-from repro.examples.travel import discount_policy_property_lite, travel_lite
 from repro.fuzz.coverage import COVERAGE
 from repro.obs import metrics, trace
 from repro.obs.attribution import ATTRIBUTION
 from repro.perf.counters import PerfCounters
 from repro.perf.phases import PHASES, PhaseTimers
+from repro.service.jobs import VerificationJob
+from repro.service.suites import build_suite
 from repro.symbolic import store as symbolic_store
 from repro.verifier.config import VerifierConfig
 from repro.verifier.engine import Verifier
-from repro.workloads import table1_workload, table2_workload
+from repro.verifier.result import VerificationStats
 
 #: Bump when the BENCH_*.json layout changes incompatibly.
 #: v2 added the sampled per-phase timing block (``"phases"``) and
@@ -59,77 +62,8 @@ BENCH_SCHEMA_VERSION = 2
 #: Schema versions :func:`load_record` accepts (old baselines included).
 _ACCEPTED_SCHEMA_VERSIONS = frozenset({1, BENCH_SCHEMA_VERSION})
 
-_ALL_CLASSES = (
-    SchemaClass.ACYCLIC,
-    SchemaClass.LINEARLY_CYCLIC,
-    SchemaClass.CYCLIC,
-)
 
-
-@dataclass(frozen=True)
-class BenchJob:
-    """One (system, property, config) cell of a family."""
-
-    name: str
-    has: object
-    prop: object
-    config: VerifierConfig
-
-
-def _table_family(builder) -> list[BenchJob]:
-    """The full Table 1/2 grid of one builder: every schema class, with
-    and without artifact relations, holding and violated, plus the
-    navigation-chain and depth-3 variants — the same cells the service
-    suites run."""
-    config = VerifierConfig(km_budget=60_000, time_limit_seconds=120.0)
-    jobs = []
-    for schema_class in _ALL_CLASSES:
-        for with_sets in (False, True):
-            for violated in (False, True):
-                spec = builder(
-                    schema_class, depth=2, with_sets=with_sets, violated=violated
-                )
-                jobs.append(BenchJob(spec.name, spec.has, spec.prop, config))
-        chained = builder(schema_class, depth=2, chain=2)
-        jobs.append(
-            BenchJob(f"{chained.name}+chain2", chained.has, chained.prop, config)
-        )
-        deep = builder(schema_class, depth=3)
-        jobs.append(BenchJob(deep.name, deep.has, deep.prop, config))
-    return jobs
-
-
-def _travel_lite_family() -> list[BenchJob]:
-    config = VerifierConfig(km_budget=60_000, time_limit_seconds=120.0)
-    jobs = []
-    for fixed in (False, True):
-        has = travel_lite(fixed)
-        jobs.append(
-            BenchJob(
-                f"{has.name}::lite-discount-policy",
-                has,
-                discount_policy_property_lite(has),
-                config,
-            )
-        )
-    return jobs
-
-
-def _scenario_families() -> list[BenchJob]:
-    """The parametric scenario families (``repro.workloads.families``):
-    every shipped size of every family, so the bench sweeps cost against
-    one structural dimension per family (width / depth / branching)."""
-    from repro.workloads.families import family_scenarios
-
-    config = VerifierConfig(km_budget=60_000, time_limit_seconds=120.0)
-    return [
-        BenchJob(f"{scenario.has.name}::{prop.name}", scenario.has, prop, config)
-        for scenario in family_scenarios()
-        for prop, _expect in scenario.properties
-    ]
-
-
-def _incremental_pairs() -> list[tuple[str, BenchJob, BenchJob]]:
+def _incremental_pairs() -> list[tuple[str, VerificationJob, VerificationJob]]:
     """Edit-adjacent scenario pairs for the ``incremental`` family.
 
     Each pair is a fuzz-generated base scenario plus the first
@@ -144,7 +78,7 @@ def _incremental_pairs() -> list[tuple[str, BenchJob, BenchJob]]:
 
     gen_config = GenConfig(max_depth=3, max_children=2)
     config = VerifierConfig(km_budget=60_000, time_limit_seconds=120.0)
-    pairs: list[tuple[str, BenchJob, BenchJob]] = []
+    pairs: list[tuple[str, VerificationJob, VerificationJob]] = []
     for seed, index in ((1, 1), (6, 0), (7, 1)):
         base = generate_scenario(seed, index, gen_config)
         mutant = next(
@@ -155,15 +89,35 @@ def _incremental_pairs() -> list[tuple[str, BenchJob, BenchJob]]:
         pairs.append(
             (
                 base.name,
-                BenchJob(f"{base.name}::base", base.has, base.prop, config),
-                BenchJob(f"{base.name}::edited", mutant.has, mutant.prop, config),
+                VerificationJob(base.has, base.prop, config, f"{base.name}::base"),
+                VerificationJob(
+                    mutant.has, mutant.prop, config, f"{base.name}::edited"
+                ),
             )
         )
     return pairs
 
 
+def _verify(
+    job: VerificationJob, summary_store=None
+) -> tuple[str, int, VerificationStats]:
+    """One job through :meth:`Verifier.verify`: its fingerprint status,
+    KM nodes, and the verifier's stats (empty on an error)."""
+    verifier = Verifier(job.has, job.config, summary_store=summary_store)
+    interrupted = 0
+    try:
+        status = "holds" if verifier.verify(job.prop).holds else "violated"
+    except BudgetExceeded as exc:
+        status = "budget_exceeded"
+        # completed explorations plus the one the budget interrupted
+        interrupted = exc.states_explored
+    except ReproError as exc:  # pragma: no cover - defensive
+        return f"error: {type(exc).__name__}", 0, VerificationStats()
+    return status, verifier.stats.km_nodes + interrupted, verifier.stats
+
+
 def _run_incremental(
-    pairs: Iterable[tuple[str, BenchJob, BenchJob]]
+    pairs: Iterable[tuple[str, VerificationJob, VerificationJob]]
 ) -> tuple[float, int, list[dict]]:
     """One pass over the edit-adjacent pairs: for each, a cold verify of
     the base (filling a fresh in-memory summary store), a cold verify of
@@ -186,31 +140,15 @@ def _run_incremental(
             ("edited-cold", edited, None),
             ("edited-warm", edited, store),
         ):
-            verifier = Verifier(job.has, job.config, summary_store=job_store)
-            try:
-                result = verifier.verify(job.prop)
-                status = "holds" if result.holds else "violated"
-                km = result.stats.km_nodes
-                reused_summaries = result.stats.summaries_reused
-                reused_km = result.stats.km_nodes_reused
-            except BudgetExceeded as exc:  # pragma: no cover - defensive
-                status = "budget_exceeded"
-                km = verifier.stats.km_nodes + int(
-                    getattr(exc, "states_explored", 0)
-                )
-                reused_summaries = verifier.stats.summaries_reused
-                reused_km = verifier.stats.km_nodes_reused
-            except ReproError as exc:  # pragma: no cover - defensive
-                status = f"error: {type(exc).__name__}"
-                km = reused_summaries = reused_km = 0
+            status, km, stats = _verify(job, job_store)
             km_total += km
             outcomes.append(
                 {
                     "name": f"{name}::{label}",
                     "status": status,
                     "km_nodes": km,
-                    "km_nodes_fresh": km - reused_km,
-                    "summaries_reused": reused_summaries,
+                    "km_nodes_fresh": km - stats.km_nodes_reused,
+                    "summaries_reused": stats.summaries_reused,
                 }
             )
     return time.perf_counter() - started, km_total, outcomes
@@ -218,10 +156,10 @@ def _run_incremental(
 
 #: ``incremental`` maps to pairs, not jobs — see :data:`_RUNNERS`.
 _FAMILIES: dict[str, Callable[[], list]] = {
-    "table1": lambda: _table_family(table1_workload),
-    "table2": lambda: _table_family(table2_workload),
-    "travel-lite": _travel_lite_family,
-    "scenario-families": _scenario_families,
+    "table1": lambda: build_suite("table1"),
+    "table2": lambda: build_suite("table2"),
+    "travel-lite": lambda: build_suite("travel", quick=True),
+    "scenario-families": lambda: build_suite("families"),
     "incremental": _incremental_pairs,
 }
 
@@ -235,26 +173,13 @@ def family_names() -> tuple[str, ...]:
     return tuple(_FAMILIES)
 
 
-def _run_jobs(jobs: Iterable[BenchJob]) -> tuple[float, int, list[dict]]:
+def _run_jobs(jobs: Iterable[VerificationJob]) -> tuple[float, int, list[dict]]:
     """One pass over the jobs: (wall seconds, total KM nodes, verdicts)."""
     outcomes: list[dict] = []
     km_total = 0
     started = time.perf_counter()
     for job in jobs:
-        verifier = Verifier(job.has, job.config)
-        try:
-            result = verifier.verify(job.prop)
-            status = "holds" if result.holds else "violated"
-            km = result.stats.km_nodes
-        except BudgetExceeded as exc:
-            status = "budget_exceeded"
-            # completed explorations plus the one the budget interrupted
-            km = verifier.stats.km_nodes + int(
-                getattr(exc, "states_explored", 0)
-            )
-        except ReproError as exc:  # pragma: no cover - defensive
-            status = f"error: {type(exc).__name__}"
-            km = 0
+        status, km, _stats = _verify(job)
         km_total += km
         outcomes.append({"name": job.name, "status": status, "km_nodes": km})
     return time.perf_counter() - started, km_total, outcomes

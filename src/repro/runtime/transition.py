@@ -163,8 +163,16 @@ def enumerate_post_valuations(
     # enumerated like task variables and dropped from the result
     from repro.symbolic.apply import pull_exists
 
-    bound, matrix = pull_exists(post)
-    post = matrix
+    bound, post = pull_exists(post)
+    # a bound variable named like a task variable shadows it: rename it
+    # apart, so the task variable stays in the result, unconstrained by
+    # the ∃ (as apply_condition treats it)
+    shadowed = {
+        v: Variable(f"{v.name}'bound", v.kind) for v in bound if v in variables
+    }
+    if shadowed:
+        bound = tuple(shadowed.get(v, v) for v in bound)
+        post = post.rename(shadowed)
     search_space = tuple(variables) + tuple(bound)
     free_id_vars = [
         v for v in search_space if v.kind is VarKind.ID and v not in preserved

@@ -73,8 +73,10 @@ def _advisory_write_lock(store) -> Iterator[None]:
             fcntl.flock(handle, fcntl.LOCK_UN)
 
 
-class ResultCache:
-    """Two-tier cache: a dict in front of an optional JSON directory."""
+class _JsonStore:
+    """The layout both tiers share: a dict in front of an optional JSON
+    directory, one file per key, written atomically under the advisory
+    write lock.  Subclasses decode what :meth:`_read` returns."""
 
     def __init__(self, directory: str | os.PathLike | None = None):
         self.directory = Path(directory) if directory is not None else None
@@ -87,41 +89,22 @@ class ResultCache:
         if self.directory is not None:
             self.directory.mkdir(parents=True, exist_ok=True)
 
-    # ------------------------------------------------------------------
     def _path_for(self, key: str) -> Path:
         assert self.directory is not None
         return self.directory / key[:2] / f"{key}.json"
 
-    def get(self, key: str) -> JobOutcome | None:
-        """The cached outcome for ``key``, marked as a cache hit.
-
-        Anything that cannot be decoded into a well-formed outcome —
-        truncated file, foreign JSON shape, hand-edited garbage — is a
-        miss, never an exception.
-        """
+    def _read(self, key: str):
+        """The JSON value stored for ``key``, or None when absent or
+        unreadable (a truncated or non-JSON file is a miss)."""
         data = self._memory.get(key)
         if data is None and self.directory is not None:
             try:
                 data = json.loads(self._path_for(key).read_text())
             except (OSError, ValueError):
                 data = None
-        if data is not None:
-            try:
-                outcome = JobOutcome.from_dict(data)
-            except (KeyError, TypeError, AttributeError, ValueError):
-                self._memory.pop(key, None)
-            else:
-                self._memory[key] = data
-                self.hits += 1
-                outcome.cache_hit = True
-                return outcome
-        self.misses += 1
-        return None
+        return data
 
-    def put(self, key: str, outcome: JobOutcome) -> None:
-        """Store an outcome; cache provenance is stripped before storage."""
-        data = outcome.to_dict()
-        data["cache_hit"] = False
+    def _write(self, key: str, data: dict) -> None:
         self._memory[key] = data
         if self.directory is None:
             return
@@ -165,7 +148,38 @@ class ResultCache:
                     pass
 
 
-class SummaryStore:
+class ResultCache(_JsonStore):
+    """Two-tier cache of whole-job outcomes."""
+
+    def get(self, key: str) -> JobOutcome | None:
+        """The cached outcome for ``key``, marked as a cache hit.
+
+        Anything that cannot be decoded into a well-formed outcome —
+        truncated file, foreign JSON shape, hand-edited garbage — is a
+        miss, never an exception.
+        """
+        data = self._read(key)
+        if data is not None:
+            try:
+                outcome = JobOutcome.from_dict(data)
+            except (KeyError, TypeError, AttributeError, ValueError):
+                self._memory.pop(key, None)
+            else:
+                self._memory[key] = data
+                self.hits += 1
+                outcome.cache_hit = True
+                return outcome
+        self.misses += 1
+        return None
+
+    def put(self, key: str, outcome: JobOutcome) -> None:
+        """Store an outcome; cache provenance is stripped before storage."""
+        data = outcome.to_dict()
+        data["cache_hit"] = False
+        self._write(key, data)
+
+
+class SummaryStore(_JsonStore):
     """Two-tier store for persistent task-summary records.
 
     Same shape and contracts as :class:`ResultCache`, but values are the
@@ -175,29 +189,9 @@ class SummaryStore:
     never an exception, and that writes are atomic.
     """
 
-    def __init__(self, directory: str | os.PathLike | None = None):
-        self.directory = Path(directory) if directory is not None else None
-        self._memory: dict[str, dict] = {}
-        self.hits = 0
-        self.misses = 0
-        #: Advisory write-lock acquisitions that found the lock held by
-        #: another process (sharded-suite contention metric).
-        self.lock_waits = 0
-        if self.directory is not None:
-            self.directory.mkdir(parents=True, exist_ok=True)
-
-    def _path_for(self, key: str) -> Path:
-        assert self.directory is not None
-        return self.directory / key[:2] / f"{key}.json"
-
     def get(self, key: str) -> dict | None:
         """The stored record for ``key``, or None (unreadable = miss)."""
-        data = self._memory.get(key)
-        if data is None and self.directory is not None:
-            try:
-                data = json.loads(self._path_for(key).read_text())
-            except (OSError, ValueError):
-                data = None
+        data = self._read(key)
         if isinstance(data, dict):
             self._memory[key] = data
             self.hits += 1
@@ -206,44 +200,4 @@ class SummaryStore:
         return None
 
     def put(self, key: str, record: dict) -> None:
-        self._memory[key] = record
-        if self.directory is None:
-            return
-        path = self._path_for(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        with _advisory_write_lock(self):
-            handle = tempfile.NamedTemporaryFile(
-                "w", dir=path.parent, prefix=".tmp-", suffix=".json", delete=False
-            )
-            try:
-                with handle:
-                    json.dump(record, handle, sort_keys=True)
-                os.replace(handle.name, path)
-            except BaseException:
-                try:
-                    os.unlink(handle.name)
-                except OSError:
-                    pass
-                raise
-
-    def __contains__(self, key: str) -> bool:
-        if key in self._memory:
-            return True
-        return self.directory is not None and self._path_for(key).exists()
-
-    def __len__(self) -> int:
-        keys = set(self._memory)
-        if self.directory is not None:
-            keys.update(p.stem for p in self.directory.glob("*/*.json"))
-        return len(keys)
-
-    def clear(self) -> None:
-        self._memory.clear()
-        self.hits = 0
-        self.misses = 0
-        if self.directory is not None:
-            for path in self.directory.glob("*/*.json"):
-                try:
-                    path.unlink()
-                except OSError:
-                    pass
+        self._write(key, record)

@@ -1,6 +1,6 @@
 """The ``python -m repro`` command line.
 
-Five subcommands drive the batch verification service:
+Six subcommands drive the batch verification service:
 
 * ``verify`` — one system + property (a built-in example, a ``.has``
   scenario file, a job JSON file, or a suite job reference), printed as
@@ -13,13 +13,18 @@ Five subcommands drive the batch verification service:
   (``repro.witness``);
 * ``suite`` — a named job suite through the batch runner, with workers,
   result cache, and JSONL export;
-* ``bench`` — the same suite at several worker counts, reporting batch
-  wall time and speedup (cache disabled so every run does the work);
+* ``bench`` — the tracked benchmark harness (``repro.perf.bench``):
+  ``--record`` writes one ``BENCH_<family>.json`` per family and
+  ``--compare`` checks them against baselines, exit 3 on a wall-time
+  regression and 4 on verdict-fingerprint drift;
 * ``fuzz`` — the differential fuzzing campaign (``repro.fuzz``): seeded
   random scenarios cross-checked between the symbolic verifier and the
   bounded explicit-state reference checker, discrepancies shrunk and
   written as replayable reports (``--replay``); exit codes 0 (all
-  agree), 1 (discrepancy found / replay reproduced), 2 (usage error).
+  agree), 1 (discrepancy found / replay reproduced), 2 (usage error);
+* ``report`` — a ``--trace`` file summarized (per-phase breakdown, cache
+  rates, search hotspots), exported to Chrome/speedscope, or appended
+  to the cross-run history ledger.
 """
 
 from __future__ import annotations
@@ -417,36 +422,6 @@ def _cmd_suite(args: argparse.Namespace) -> int:
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
-    if args.record or args.compare:
-        with _tracing(args):
-            return _cmd_bench_record(args)
-    if args.families:
-        raise _die("--families requires --record or --compare")
-    config = _config_from_args(args)
-    try:
-        jobs = build_suite(args.name or "table1", quick=args.quick, config=config)
-    except KeyError as exc:
-        raise _die(exc.args[0]) from None
-    except ReproError as exc:
-        raise _die(str(exc)) from None
-    workers_list = [int(w) for w in args.workers_list.split(",")]
-    print(f"bench suite {args.name!r}: {len(jobs)} jobs at workers={workers_list}")
-    baseline = None
-    with _tracing(args):
-        for workers in workers_list:
-            report = run_batch(jobs, workers=workers, cache=None)
-            if baseline is None:
-                baseline = report.wall_seconds
-            speedup = baseline / report.wall_seconds if report.wall_seconds else 0.0
-            print(
-                f"  workers={workers:<3d} wall {report.wall_seconds:8.3f}s  "
-                f"speedup ×{speedup:.2f}  "
-                f"({report.violations} violated, {report.budget_exceeded} over budget)"
-            )
-    return 0
-
-
-def _cmd_bench_record(args: argparse.Namespace) -> int:
     """``bench --record / --compare``: the tracked-baseline harness.
 
     ``--record`` runs the named families and writes one
@@ -455,10 +430,12 @@ def _cmd_bench_record(args: argparse.Namespace) -> int:
     Exit codes extend the verify contract without clashing with it
     (0 holds / 1 violated / 2 budget-error): **3** — a family regressed
     in wall time beyond ``--threshold``; **4** — a family's verdict
-    fingerprint drifted, which is a semantic change, not noise.  Missing baselines are reported but
-    never fail (the soft-gate contract)."""
+    fingerprint drifted, which is a semantic change, not noise.  Missing
+    baselines are reported but never fail (the soft-gate contract)."""
     from repro.perf import bench as perf_bench
 
+    if not args.record and not args.compare:
+        raise _die("bench: pass --record, --compare BASELINE_DIR, or both")
     known = perf_bench.family_names()
     if args.families:
         if args.name:
@@ -467,9 +444,6 @@ def _cmd_bench_record(args: argparse.Namespace) -> int:
             )
         families = [f.strip() for f in args.families.split(",") if f.strip()]
     elif args.name:
-        # the positional argument names a suite in sweep mode and a
-        # family here; the grids share names, so honor it rather than
-        # silently recording everything
         families = [args.name]
     else:
         families = list(known)
@@ -484,7 +458,8 @@ def _cmd_bench_record(args: argparse.Namespace) -> int:
         try:
             # record_families logs progress to stderr, keeping stdout
             # parseable for scripted callers
-            perf_bench.record_families(out_dir, families, reps=args.reps)
+            with _tracing(args):
+                perf_bench.record_families(out_dir, families, reps=args.reps)
         except RuntimeError as exc:
             raise _die(f"bench recording failed: {exc}") from None
     if not args.compare:
@@ -873,24 +848,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     bench = sub.add_parser(
         "bench",
-        help="worker-scaling sweep (default), or the tracked benchmark "
-        "harness with --record / --compare (exit 3 on >threshold "
-        "regression)",
+        help="the tracked benchmark harness: --record BENCH_<family>.json "
+        "records, --compare them against baselines (exit 3 on "
+        ">threshold regression, 4 on verdict-fingerprint drift)",
     )
     bench.add_argument(
         "name",
         nargs="?",
         default=None,
-        help="suite name for the worker sweep (default table1), or a "
-        "single family name with --record/--compare",
-    )
-    bench.add_argument(
-        "--workers-list",
-        default="1,2,4",
-        help="comma-separated worker counts (default 1,2,4)",
-    )
-    bench.add_argument(
-        "--quick", action="store_true", help="trim the suite to its fastest jobs"
+        help="a single family to record/compare (default: all)",
     )
     bench.add_argument(
         "--record",
@@ -913,9 +879,7 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument(
         "--families",
         help="comma-separated bench families for --record/--compare "
-        "(default: all; see docs/performance.md). Families pin their own "
-        "verifier budgets, so --km-budget/--time-limit apply only to the "
-        "worker sweep",
+        "(default: all; see docs/performance.md)",
     )
     bench.add_argument(
         "--reps",
@@ -930,7 +894,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="relative wall-time regression tolerance for --compare "
         "(default 0.15 = 15%%)",
     )
-    _add_budget_arguments(bench)
     _add_trace_arguments(bench)
     bench.set_defaults(func=_cmd_bench)
 

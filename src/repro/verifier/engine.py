@@ -79,7 +79,6 @@ class Verifier:
         #: persistent cross-job tier behind the in-memory summary memo.
         self.summary_store = summary_store
         self._summaries: dict[tuple, TaskSummary] = {}
-        self._input_stores: dict[tuple[str, tuple], ConstraintStore] = {}
         self._child_input_memo: dict[tuple, tuple[ConstraintStore, tuple]] = {}
         # Per completed summary: the transitive closure of the summary
         # keys its exploration consulted (dependency order, itself last).
@@ -168,7 +167,6 @@ class Verifier:
             },
         )
         key = child_store.canonical_key()
-        self._input_stores[(child.name, key)] = child_store
         if len(self._child_input_memo) < CHILD_INPUT_MEMO_LIMIT:
             self._child_input_memo[memo_key] = (child_store, key)
         return child_store, key

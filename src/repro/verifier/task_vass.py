@@ -36,11 +36,11 @@ import time
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterator, Mapping
 
-from repro.errors import VerificationError
+from repro.errors import BudgetExceeded, VerificationError
 from repro.has.services import InternalService, SetUpdate
 from repro.has.task import Task
 from repro.hltl.formulas import ChildProp, CondProp, ServiceProp
-from repro.logic.conditions import Not
+from repro.logic.conditions import Condition, Not
 from repro.logic.terms import Variable, VarKind
 from repro.obs.attribution import ATTRIBUTION
 from repro.perf.counters import COUNTERS
@@ -198,6 +198,22 @@ class TaskVASS:
         """The interned state for an id (inverse of :meth:`intern`)."""
         return self.registry[state_id]
 
+    def _refinements(
+        self, store: ConstraintStore, condition: Condition
+    ) -> Iterator[ConstraintStore]:
+        """``apply_condition(store, condition)``, lazily, refusing more
+        than ``max_condition_branches`` refinements: a dropped branch
+        hides behaviors from the search and can flip the verdict, so the
+        (cap+1)-th refinement raises :class:`BudgetExceeded`."""
+        refinements = apply_condition(store, condition)
+        yield from itertools.islice(refinements, self.config.max_condition_branches)
+        if next(refinements, None) is not None:
+            raise BudgetExceeded(
+                f"a condition of {self.task.name} exceeded "
+                "max_condition_branches",
+                len(self.registry),
+            )
+
     # ------------------------------------------------------------------
     # initial states
     # ------------------------------------------------------------------
@@ -256,8 +272,6 @@ class TaskVASS:
         """
         state = self.state(state_id)
         if self.deadline is not None and time.monotonic() > self.deadline:
-            from repro.errors import BudgetExceeded
-
             raise BudgetExceeded("verification time limit exceeded", len(self.registry))
         support = frozenset(
             dim
@@ -327,12 +341,7 @@ class TaskVASS:
             elif condition is not None:
                 refined: list[ConstraintStore] = []
                 for branch in branches:
-                    refined.extend(
-                        itertools.islice(
-                            apply_condition(branch, condition),
-                            self.config.max_condition_branches,
-                        )
-                    )
+                    refined.extend(self._refinements(branch, condition))
                 branches = refined
                 if not branches:
                     return
@@ -364,10 +373,7 @@ class TaskVASS:
         for service in self.task.services:
             ref = labels.internal(self.task.name, service.name)
             ATTRIBUTION.set_context(self.task.name, ref)
-            for pre_store in itertools.islice(
-                apply_condition(state.store, service.pre),
-                self.config.max_condition_branches,
-            ):
+            for pre_store in self._refinements(state.store, service.pre):
                 yield from self._apply_internal(state, vector, service, ref, pre_store)
 
     def _apply_internal(
@@ -385,10 +391,7 @@ class TaskVASS:
             inserted_options = [(None, pre_store)]
         for inserted, snap_store in inserted_options:
             base = snap_store.restrict(self.task.input_variables)
-            for post_store in itertools.islice(
-                apply_condition(base, service.post),
-                self.config.max_condition_branches,
-            ):
+            for post_store in self._refinements(base, service.post):
                 if service.update.retrieves and self.task.has_set:
                     yield from self._retrieval_branches(
                         state, vector, service, ref, inserted, post_store
@@ -480,10 +483,7 @@ class TaskVASS:
                 continue  # at most one call per segment (restriction 8)
             ref = labels.opening(child.name)
             ATTRIBUTION.set_context(self.task.name, ref)
-            for pre_store in itertools.islice(
-                apply_condition(state.store, child.opening.pre),
-                self.config.max_condition_branches,
-            ):
+            for pre_store in self._refinements(state.store, child.opening.pre):
                 input_store, input_key = self.engine.make_child_input(
                     pre_store, child
                 )
@@ -631,10 +631,7 @@ class TaskVASS:
             return
         ref = labels.closing(self.task.name)
         ATTRIBUTION.set_context(self.task.name, ref)
-        for pre_store in itertools.islice(
-            apply_condition(state.store, self.task.closing.pre),
-            self.config.max_condition_branches,
-        ):
+        for pre_store in self._refinements(state.store, self.task.closing.pre):
             for refined, q in self._buchi_step(state, pre_store, ref):
                 successor = SymState(
                     store=refined,

@@ -570,6 +570,16 @@ class TestBenchCLI:
         assert code == 4
         assert "SEMANTIC DRIFT" in capsys.readouterr().out
 
+    def test_bench_needs_record_or_compare(self, capsys):
+        """``bench`` has one mode: without --record or --compare it is a
+        usage error, not a run."""
+        from repro.service.cli import main
+
+        with pytest.raises(SystemExit) as exc:
+            main(["bench", "table1"])
+        assert exc.value.code == 2
+        assert "--record" in capsys.readouterr().err
+
     def test_positional_family_is_honored(self, tmp_path):
         from repro.service.cli import main
 

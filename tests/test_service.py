@@ -230,6 +230,18 @@ class TestSuites:
     def test_quick_flag_trims(self):
         assert len(build_suite("table1", quick=True, config=CONFIG)) < 18
 
+    def test_travel_hard_job_ends_on_its_km_budget(self):
+        """The full travel job is boxed by a KM budget, not a wall clock,
+        so its outcome and node count do not depend on machine speed; the
+        suite's time limit stays as the safety net."""
+        job = build_suite("travel")[-1]
+        assert job.name.endswith("(tight budget)")
+        assert job.config.time_limit_seconds == 120.0
+        outcome = execute_job(job)
+        assert outcome.status == STATUS_BUDGET_EXCEEDED
+        assert outcome.error == "root search exhausted the KM budget"
+        assert outcome.km_nodes > job.config.km_budget
+
 
 class TestCLI:
     def test_suite_command(self, tmp_path, capsys):

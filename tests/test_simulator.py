@@ -73,3 +73,29 @@ class TestCrossValidation:
         for tree in sim.sample_trees(15):
             validate_run_tree(tree, db)
             assert evaluate_on_tree(prop, tree, db)
+
+
+class TestShadowedVariables:
+    def test_tree_through_shadowing_post_condition_linearizes(self, db):
+        """Cancel.CancelFlight's post-condition binds ∃lc_cid, shadowing
+        Cancel's own lc_cid.  Pre-fix the simulated state dropped the task
+        variable, and linearizing the tree raised KeyError."""
+        from repro.runtime import labels
+        from repro.runtime.global_run import linearize
+
+        has = travel_lite(fixed=False)
+        cancel_flight = labels.internal("Cancel", "CancelFlight")
+        sim = Simulator(has, db, SimulationConfig(max_steps=25, seed=11))
+        tree = next(
+            tree
+            for tree in sim.sample_trees(10)
+            if any(
+                step.service == cancel_flight
+                for node in tree.walk()
+                for step in node.run.steps
+            )
+        )
+        for node in tree.walk():
+            for step in node.run.steps:
+                assert set(node.run.task.variables) <= set(step.state.valuation)
+        assert len(list(linearize(has, tree, limit=1))) == 1

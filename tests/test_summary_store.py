@@ -275,6 +275,21 @@ class TestLimitSoundness:
         assert outcome.holds is None
         assert "max_outputs_per_summary" in outcome.error
 
+    def test_condition_branch_overflow_refuses_instead_of_truncating(self):
+        """Pre-fix, a condition with more refinements than
+        max_condition_branches silently kept the first ones, so the search
+        returned a verdict over a subset of the branches.  Overflow must
+        refuse with BudgetExceeded, like every other limit."""
+        sc = _scenario(1, 1)  # a condition of its root task splits in two
+        config = VerifierConfig(
+            km_budget=60_000, time_limit_seconds=60.0, max_condition_branches=1
+        )
+        with pytest.raises(BudgetExceeded, match="max_condition_branches"):
+            Verifier(sc.has, config).verify(sc.prop)
+        outcome = execute_job(_job(sc, config))
+        assert outcome.status == STATUS_BUDGET_EXCEEDED
+        assert "max_condition_branches" in outcome.error
+
     def test_max_summaries_overflow_is_budget_status(self):
         """Pre-fix this raised a bare VerificationError, which the pool
         reported as an *error* outcome; it is a budget, so it must map
