@@ -24,9 +24,9 @@ Usage::
 
 The default budget (3%) is deliberately generous for CI noise: the
 interleaved min-vs-min estimator (the side that runs first alternates
-per rep) absorbs most scheduler jitter, and a
-genuine hot-path regression (a per-call timer where a sampled one
-belongs, say) overshoots 3% by an order of magnitude.
+per rep) absorbs most scheduler jitter, so what fails the gate is work
+a switch adds on every call of a hot path, seen as a steady excess
+across reruns rather than one noisy reading.
 """
 
 from __future__ import annotations

@@ -261,7 +261,7 @@ def _component_satisfiable(component: list[Constraint]) -> bool:
         COVERAGE.hit("fm:sat" if cached else "fm:unsat")
         return cached
     COUNTERS.fm_sat_misses += 1
-    # only misses do real work, so only misses are timed (sampled)
+    # only misses do real work, so only misses are timed
     token = PHASES.begin("fm")
     try:
         result = _is_satisfiable_uncached(component)

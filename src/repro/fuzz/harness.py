@@ -66,17 +66,19 @@ from repro.ltl.formulas import (
     Until,
     propositions,
 )
-from repro.service.jobs import VerificationJob
+from repro.service.jobs import (
+    STATUS_BUDGET_EXCEEDED,
+    STATUS_ERROR,
+    STATUS_HOLDS,
+    STATUS_VIOLATED,
+    VerificationJob,
+)
 from repro.service.serialize import canonical_json, from_dict, to_dict
 from repro.verifier.config import VerifierConfig
 from repro.verifier.engine import Verifier
 from repro.witness import ConcreteWitness, NonConcretizable, concretize
 from repro.witness.minimize import minimize
 
-SYMBOLIC_HOLDS = "holds"
-SYMBOLIC_VIOLATED = "violated"
-SYMBOLIC_BUDGET = "budget_exceeded"
-SYMBOLIC_ERROR = "error"
 
 #: Default budgets for one fuzzed scenario (deliberately small — the
 #: generated systems are tiny, and a campaign runs many of them).
@@ -147,7 +149,7 @@ def check_scenario(
     """Run both checkers on one scenario and cross-check their verdicts."""
     started = time.monotonic()
     config = verifier_config or DEFAULT_VERIFIER_CONFIG
-    outcome = ScenarioOutcome(scenario=scenario, symbolic_status=SYMBOLIC_ERROR)
+    outcome = ScenarioOutcome(scenario=scenario, symbolic_status=STATUS_ERROR)
     with COVERAGE.unit() as fired:
         _check_scenario(outcome, scenario, config, bounded_config)
     outcome.coverage = fired.features()
@@ -165,16 +167,16 @@ def _check_scenario(
     try:
         result = Verifier(scenario.has, config).verify(scenario.prop)
         outcome.symbolic_status = (
-            SYMBOLIC_HOLDS if result.holds else SYMBOLIC_VIOLATED
+            STATUS_HOLDS if result.holds else STATUS_VIOLATED
         )
     except BudgetExceeded:
-        outcome.symbolic_status = SYMBOLIC_BUDGET
+        outcome.symbolic_status = STATUS_BUDGET_EXCEEDED
     except Exception as exc:  # noqa: BLE001 — a crash on valid input is a finding
-        outcome.symbolic_status = SYMBOLIC_ERROR
+        outcome.symbolic_status = STATUS_ERROR
         outcome.error = f"{type(exc).__name__}: {exc}"
 
     witness: ConcreteWitness | NonConcretizable | None = None
-    if outcome.symbolic_status == SYMBOLIC_VIOLATED:
+    if outcome.symbolic_status == STATUS_VIOLATED:
         assert result is not None
         try:
             witness = concretize(
@@ -195,7 +197,7 @@ def _check_scenario(
             else:
                 outcome.witness_status = "unconfirmed"
 
-    if outcome.symbolic_status != SYMBOLIC_ERROR:
+    if outcome.symbolic_status != STATUS_ERROR:
         try:
             outcome.bounded = bounded_check(
                 scenario.has, scenario.prop, scenario.databases, bounded_config
@@ -219,12 +221,12 @@ def _cross_check(
     outcome: ScenarioOutcome,
     witness: ConcreteWitness | NonConcretizable | None,
 ) -> Discrepancy | None:
-    if outcome.symbolic_status == SYMBOLIC_ERROR or outcome.error:
+    if outcome.symbolic_status == STATUS_ERROR or outcome.error:
         # a crash in any checker layer on a valid scenario is a finding
         return Discrepancy("verifier_error", detail=outcome.error)
     bounded = outcome.bounded
     if (
-        outcome.symbolic_status == SYMBOLIC_HOLDS
+        outcome.symbolic_status == STATUS_HOLDS
         and bounded is not None
         and bounded.verdict == VERDICT_VIOLATED
     ):
@@ -260,7 +262,7 @@ def _cross_check(
             ),
             witness_json=concrete.to_dict(),
         )
-    if outcome.symbolic_status == SYMBOLIC_VIOLATED:
+    if outcome.symbolic_status == STATUS_VIOLATED:
         if outcome.witness_status == "non_concretizable":
             assert isinstance(witness, NonConcretizable)
             if bounded is not None and bounded.verdict == VERDICT_VIOLATED:
@@ -668,7 +670,7 @@ def corpus_entry_has(
     expect = (
         outcome.symbolic_status
         if outcome.symbolic_status
-        in (SYMBOLIC_HOLDS, SYMBOLIC_VIOLATED, SYMBOLIC_BUDGET)
+        in (STATUS_HOLDS, STATUS_VIOLATED, STATUS_BUDGET_EXCEEDED)
         else None
     )
     bounded = outcome.bounded.verdict if outcome.bounded else "-"
@@ -736,9 +738,9 @@ def promote_survivors(
         o
         for o in outcomes
         if o.agreed
-        and o.symbolic_status in (SYMBOLIC_HOLDS, SYMBOLIC_VIOLATED)
+        and o.symbolic_status in (STATUS_HOLDS, STATUS_VIOLATED)
         and (
-            o.symbolic_status != SYMBOLIC_VIOLATED
+            o.symbolic_status != STATUS_VIOLATED
             or o.witness_status == "confirmed"
         )
     ]

@@ -2,7 +2,7 @@
 
 The phase timers (:mod:`repro.perf.phases`) say *where* the verifier's
 wall clock went (fm / canon / expand); this module says *whose fault it
-was*: every Karp–Miller node expansion, generated successor, and sampled
+was*: every Karp–Miller node expansion, generated successor, and
 Fourier–Motzkin / canonicalization second is credited to the scenario
 construct that originated it — the ``(task, service)`` pair of the
 :class:`~repro.verifier.task_vass.StepTag` on the expanded node.  The
@@ -16,8 +16,8 @@ registry is process-global and **always on** under the same contract —
 observationally invisible (verdicts, witnesses, node counts, and job
 hashes are byte-identical; A/B-tested) and within the <3% overhead
 budget ``benchmarks/trace_overhead.py`` gates in CI.  It imports
-nothing above :mod:`repro.perf.phases` (whose sampled-timing hook feeds
-the fm/canon seconds); the VASS and verifier layers call in, never the
+nothing above :mod:`repro.perf.phases` (whose timing hook feeds the
+fm/canon seconds); the VASS and verifier layers call in, never the
 other way around.
 
 Three accounting channels:
@@ -33,14 +33,13 @@ Three accounting channels:
 * :meth:`AttributionRegistry.set_context` — the successor-generation
   loops in ``task_vass`` mark which (task, service) branch is currently
   being explored; the :attr:`~repro.perf.phases.PhaseTimers.observer`
-  hook then credits each *sampled* fm/canon activation to that context.
-  Sampled seconds are shares, not totals: uniform sampling makes the
-  ratio between constructs meaningful, and renderers print percentages.
+  hook then credits each fm/canon activation's seconds to that context
+  (exact totals: every outermost activation is timed).
 
 Counts and depths are deterministic for a deterministic exploration
-(expansion order never depends on timing); only the ``*_seconds`` /
-``*_samples`` fields carry wall-clock noise, and
-:func:`repro.obs.report.scrub_event` strips the seconds, so scrubbed
+(expansion order never depends on timing); only the ``*_seconds``
+fields carry wall-clock noise, and
+:func:`repro.obs.report.scrub_event` strips them, so scrubbed
 attribution tables are byte-stable across PYTHONHASHSEED values
 (pinned by a subprocess test in ``tests/test_obs_analysis.py``).
 """
@@ -62,9 +61,7 @@ class _Cell:
         "successors",
         "depth_sum",
         "fm_seconds",
-        "fm_samples",
         "canon_seconds",
-        "canon_samples",
     )
 
     def __init__(self, task: str) -> None:
@@ -73,9 +70,7 @@ class _Cell:
         self.successors = 0
         self.depth_sum = 0
         self.fm_seconds = 0.0
-        self.fm_samples = 0
         self.canon_seconds = 0.0
-        self.canon_samples = 0
 
 
 def _key_of(tag: object) -> tuple:
@@ -136,7 +131,7 @@ class AttributionRegistry:
 
     def set_context(self, task: str, service: Hashable) -> None:
         """Mark the construct whose successor branch is being generated;
-        subsequent sampled fm/canon activations are credited to it."""
+        subsequent fm/canon activations are credited to it."""
         if self.enabled:
             self._context = (
                 getattr(service, "task", None) or str(task),
@@ -144,24 +139,20 @@ class AttributionRegistry:
             )
 
     def clear_context(self) -> None:
-        """Leave construct scope: sampled time is no longer credited
+        """Leave construct scope: phase time is no longer credited
         (post-exploration work — witness concretization, serialization —
         belongs to no single construct)."""
         self._context = None
 
-    def _on_phase_sample(self, name: str, seconds: float) -> None:
+    def _on_phase(self, name: str, seconds: float) -> None:
         """:attr:`repro.perf.phases.PhaseTimers.observer` hook — fires
-        once per *timed* (sampled) phase activation."""
+        once per outermost phase activation."""
         if self._context is None or not self.enabled:
             return
         if name == "fm":
-            cell = self._cell(self._context)
-            cell.fm_seconds += seconds
-            cell.fm_samples += 1
+            self._cell(self._context).fm_seconds += seconds
         elif name == "canon":
-            cell = self._cell(self._context)
-            cell.canon_seconds += seconds
-            cell.canon_samples += 1
+            self._cell(self._context).canon_seconds += seconds
 
     # ------------------------------------------------------------------
     # reading
@@ -179,10 +170,8 @@ class AttributionRegistry:
                 "expansions": cell.expansions,
                 "successors": cell.successors,
                 "depth_sum": cell.depth_sum,
-                "fm_sampled_seconds": cell.fm_seconds,
-                "fm_samples": cell.fm_samples,
-                "canon_sampled_seconds": cell.canon_seconds,
-                "canon_samples": cell.canon_samples,
+                "fm_seconds": cell.fm_seconds,
+                "canon_seconds": cell.canon_seconds,
             }
         return {label: table[label] for label in sorted(table)}
 
@@ -194,9 +183,8 @@ class AttributionRegistry:
 #: The process-global attribution registry the VASS/verifier layers feed.
 ATTRIBUTION = AttributionRegistry()
 
-# Wire the sampled-phase hook: every timed fm/canon activation reports
-# its seconds here, to be credited to the construct context the
-# successor-generation loops set.  Importing this module is what arms
-# the hook; the engine and KM layers import it, so any verification run
-# has it armed.
-PHASES.observer = ATTRIBUTION._on_phase_sample
+# Wire the phase hook: every fm/canon activation reports its seconds
+# here, to be credited to the construct context the successor-generation
+# loops set.  Importing this module is what arms the hook; the engine
+# and KM layers import it, so any verification run has it armed.
+PHASES.observer = ATTRIBUTION._on_phase

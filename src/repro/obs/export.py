@@ -1,34 +1,25 @@
-"""Standard-format exports of a recorded trace.
+"""Chrome trace-event export of a recorded trace.
 
 A trace JSONL (:mod:`repro.obs.trace`) is already the ground truth; this
-module converts it — losslessly — into the two interchange formats the
-rest of the profiling world reads:
+module converts it — losslessly — into Chrome trace-event JSON
+(:func:`to_chrome`), the interchange format that Perfetto
+(https://ui.perfetto.dev), ``chrome://tracing`` and other trace
+viewers import.  Spans become complete (``"ph": "X"``) events on the main track;
+instant records (``km_progress``, ``suite_start``, …) become instant
+(``"ph": "i"``) events; and per-job records become job-level slices —
+on the main track for serial runs (``job_start``/``job_finish`` pairs),
+or on synthetic per-worker lanes for ``--workers N`` runs, reconstructed
+from the parent-side ``job_submit``/``job_finish`` re-emission (worker
+processes never write the parent's trace, so lanes are inferred from
+job intervals, not PIDs).  Every field of the original record that the
+mapping itself doesn't consume rides along under ``args`` — nothing
+recorded is dropped.
 
-* **Chrome trace-event JSON** (:func:`to_chrome`) — loadable in Perfetto
-  (https://ui.perfetto.dev) and ``chrome://tracing``.  Spans become
-  complete (``"ph": "X"``) events on the main track; instant records
-  (``km_progress``, ``suite_start``, …) become instant (``"ph": "i"``)
-  events; and per-job records become job-level slices — on the main
-  track for serial runs (``job_start``/``job_finish`` pairs), or on
-  synthetic per-worker lanes for ``--workers N`` runs, reconstructed
-  from the parent-side ``job_submit``/``job_finish`` re-emission (worker
-  processes never write the parent's trace, so lanes are inferred from
-  job intervals, not PIDs).  Every field of the original record that the
-  mapping itself doesn't consume rides along under ``args`` — nothing
-  recorded is dropped.
-* **speedscope JSON** (:func:`to_speedscope`) —
-  https://www.speedscope.app.  Two profiles in one file: an *evented*
-  profile of the span tree (time-ordered open/close events, so the
-  nesting of ``verify`` → ``explore`` → witness spans renders as a
-  flamechart), and a *sampled* profile of the estimated per-phase
-  seconds from :mod:`repro.perf.phases` (one weighted frame per phase —
-  the breakdown table of ``repro report``, as a picture).
-
-Both exporters are pure functions of the parsed event list and write
+The exporter is a pure function of the parsed event list and writes
 with sorted keys, so identical traces export to identical bytes (the
-golden-file tests rely on it).
+golden-file test relies on it).
 
-CLI: ``python -m repro report FILE --export chrome|speedscope --out F``.
+CLI: ``python -m repro report FILE --chrome OUT``.
 """
 
 from __future__ import annotations
@@ -36,9 +27,6 @@ from __future__ import annotations
 import json
 from pathlib import Path
 from typing import Iterable
-
-from repro.obs.report import summarize
-from repro.perf.phases import PHASE_NAMES, PhaseTimers
 
 #: pid of the main (tracing) process track in the Chrome export.
 MAIN_PID = 1
@@ -252,120 +240,6 @@ def to_chrome(events: list[dict]) -> dict:
     }
 
 
-# ----------------------------------------------------------------------
-# speedscope
-# ----------------------------------------------------------------------
-def _span_label(record: dict) -> str:
-    """A speedscope frame name for a span: the span name plus its most
-    identifying field (``explore: root search``, ``summary: Flight``)."""
-    name = str(record.get("name", "span"))
-    for field in ("what", "task", "property"):
-        if record.get(field):
-            return f"{name}: {record[field]}"
-    return name
-
-
-def to_speedscope(events: list[dict]) -> dict:
-    """The trace as a speedscope file: the span tree as an evented
-    flamechart profile plus the estimated per-phase seconds as a
-    sampled profile."""
-    frames: list[dict] = []
-    frame_index: dict[str, int] = {}
-
-    def frame_of(label: str) -> int:
-        index = frame_index.get(label)
-        if index is None:
-            index = frame_index[label] = len(frames)
-            frames.append({"name": label})
-        return index
-
-    # -- evented profile: properly nested open/close from span intervals
-    intervals = []
-    for record in events:
-        if record.get("ev") != "span":
-            continue
-        start = float(record.get("t", 0.0))
-        end = start + float(record.get("dur", 0.0))
-        intervals.append((start, end, _span_label(record)))
-    intervals.sort(key=lambda iv: (iv[0], -iv[1]))
-
-    span_events: list[dict] = []
-    stack: list[tuple[float, int]] = []  # (end, frame)
-    cursor = 0.0
-    end_value = max((end for _s, end, _l in intervals), default=0.0)
-
-    def close_until(at: float) -> None:
-        nonlocal cursor
-        while stack and stack[-1][0] <= at:
-            end, frame = stack.pop()
-            cursor = max(cursor, end)
-            span_events.append({"type": "C", "frame": frame, "at": round(cursor, 6)})
-
-    for start, end, label in intervals:
-        close_until(start)
-        if stack:
-            # spans recorded at exit can carry sub-microsecond overhangs
-            # past their parent; clamp so the profile stays well-nested
-            end = min(end, stack[-1][0])
-        cursor = max(cursor, start)
-        frame = frame_of(label)
-        span_events.append({"type": "O", "frame": frame, "at": round(cursor, 6)})
-        stack.append((max(end, cursor), frame))
-    close_until(float("inf"))
-
-    profiles: list[dict] = [
-        {
-            "type": "evented",
-            "name": "spans",
-            "unit": "seconds",
-            "startValue": 0,
-            "endValue": round(max(end_value, cursor), 6),
-            "events": span_events,
-        }
-    ]
-
-    # -- sampled profile: estimated seconds per phase, one frame each
-    # (the same sources `repro report` sums: job_finish records, else
-    # verify spans)
-    estimate = PhaseTimers.estimate(summarize(events).phases)
-    samples: list[list[int]] = []
-    weights: list[float] = []
-    ordered = [name for name in PHASE_NAMES if name in estimate]
-    ordered += sorted(name for name in estimate if name not in PHASE_NAMES)
-    for name in ordered:
-        seconds = estimate[name]
-        if seconds <= 0:
-            continue
-        samples.append([frame_of(f"phase: {name}")])
-        weights.append(round(seconds, 6))
-    profiles.append(
-        {
-            "type": "sampled",
-            "name": "phases (estimated seconds)",
-            "unit": "seconds",
-            "startValue": 0,
-            "endValue": round(sum(weights), 6),
-            "samples": samples,
-            "weights": weights,
-        }
-    )
-
-    return {
-        "$schema": "https://www.speedscope.app/file-format-schema.json",
-        "name": "repro trace",
-        "exporter": "repro",
-        "activeProfileIndex": 0,
-        "shared": {"frames": frames},
-        "profiles": profiles,
-    }
-
-
-def export_trace(events: list[dict], fmt: str, out: str | Path) -> None:
-    """Write the export named by ``fmt`` (``chrome`` | ``speedscope``)."""
-    if fmt == "chrome":
-        document = to_chrome(events)
-    elif fmt == "speedscope":
-        document = to_speedscope(events)
-    else:
-        raise ValueError(f"unknown export format {fmt!r}")
-    Path(out).write_text(json.dumps(document, sort_keys=True) + "\n")
+def export_trace(events: list[dict], out: str | Path) -> None:
+    """Write the trace to ``out`` as Chrome trace-event JSON."""
+    Path(out).write_text(json.dumps(to_chrome(events), sort_keys=True) + "\n")

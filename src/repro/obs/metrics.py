@@ -1,7 +1,7 @@
 """The one read path over the process-global metric registries.
 
-The cache counters (:data:`repro.perf.counters.COUNTERS`), the sampled
-phase timers (:data:`repro.perf.phases.PHASES`) and the per-(task,
+The cache counters (:data:`repro.perf.counters.COUNTERS`), the phase
+timers (:data:`repro.perf.phases.PHASES`) and the per-(task,
 service) attribution (:data:`repro.obs.attribution.ATTRIBUTION`) record
 on their own hot paths.  Every per-job, per-span and per-batch read goes
 through here: :func:`snapshot` and :func:`since` for a job's or a span's
@@ -19,8 +19,8 @@ from repro.obs.attribution import ATTRIBUTION
 from repro.perf.counters import COUNTERS
 from repro.perf.phases import PHASES
 
-#: The metric kinds, and the field names a ``JobOutcome``, a
-#: ``job_finish`` trace event and a history record carry them under.
+#: The metric kinds, and the field names a ``JobOutcome`` and a
+#: ``job_finish`` trace event carry them under.
 KINDS = ("counters", "phases", "attribution")
 
 _NUMBER = (int, float)

@@ -2,7 +2,7 @@
 
 Reads a trace written by :mod:`repro.obs.trace` and renders
 
-* a **per-phase time breakdown** — the sampled phase timers
+* a **per-phase time breakdown** — the phase timers
   (:mod:`repro.perf.phases`) attached to each ``job_finish`` event (or,
   for bare-engine traces, to each ``verify`` span), with KM expansion
   reported *exclusive* of the Fourier–Motzkin and canonicalization time
@@ -13,8 +13,8 @@ Reads a trace written by :mod:`repro.obs.trace` and renders
   true 0% hit rate);
 * a **hotspot table** — the per-(task, service) search attribution from
   :mod:`repro.obs.attribution`: which scenario construct the KM
-  expansions, generated successors, and sampled FM/canonicalization
-  time belong to ("service ``book_flight``: 61% of expansions, 54% of
+  expansions, generated successors, and FM/canonicalization time
+  belong to ("service ``book_flight``: 61% of expansions, 54% of
   FM time") — the direct answer to *which part of my scenario is slow*;
 * the slowest jobs, for picking what to dig into next.
 
@@ -33,14 +33,14 @@ from typing import Iterable
 from repro.obs import metrics
 from repro.obs.attribution import UNATTRIBUTED
 from repro.perf.counters import PerfCounters
-from repro.perf.phases import PHASE_NAMES, PhaseTimers
+from repro.perf.phases import PHASE_NAMES
 
 #: Exact record keys that carry timing (stripped by :func:`scrub_event`).
 _TIMING_KEYS = frozenset({"t", "dur", "phases", "rates"})
 
 
 def scrub_event(record: dict) -> dict:
-    """The record minus its timing fields: drops ``t``/``dur``, sampled
+    """The record minus its timing fields: drops ``t``/``dur``, the
     phase/rate blocks, and any key mentioning seconds, recursively."""
     scrubbed = {}
     for key, value in record.items():
@@ -85,11 +85,11 @@ class TraceSummary:
         ``expand`` is reported exclusive of the fm/canon time nested in
         it; ``other`` absorbs the unattributed remainder (clamped at 0).
         """
-        estimate = PhaseTimers.estimate(self.phases)
+        spent = {name: entry.get("seconds", 0.0) for name, entry in self.phases.items()}
         calls = {name: entry.get("calls", 0) for name, entry in self.phases.items()}
-        fm = estimate.get("fm", 0.0)
-        canon = estimate.get("canon", 0.0)
-        expand = estimate.get("expand", 0.0)
+        fm = spent.get("fm", 0.0)
+        canon = spent.get("canon", 0.0)
+        expand = spent.get("expand", 0.0)
         rows: list[tuple[str, float, int]] = [
             ("fm", fm, calls.get("fm", 0)),
             ("canon", canon, calls.get("canon", 0)),
@@ -102,7 +102,7 @@ class TraceSummary:
         for name in PHASE_NAMES:
             if name in ("fm", "canon", "expand"):
                 continue
-            rows.append((name, estimate.get(name, 0.0), calls.get(name, 0)))
+            rows.append((name, spent.get(name, 0.0), calls.get(name, 0)))
         accounted = sum(seconds for _name, seconds, _calls in rows)
         rows.append(("other (unattributed)", max(0.0, self.wall_seconds - accounted), 0))
         return rows
@@ -147,14 +147,10 @@ _HOTSPOT_ROWS = 12
 def render_attribution(attribution: dict[str, dict], rows: int = _HOTSPOT_ROWS) -> list[str]:
     """The search-hotspot table: one row per (task, service) construct,
     sorted by expansion count, with each construct's share of the total
-    expansions and of the *sampled* fm/canon seconds (shares, not
-    absolute times — the samples are uniform across constructs, so the
-    ratios are meaningful while the raw sums are not)."""
+    expansions and of the fm/canon seconds credited to constructs."""
     total_exp = sum(e.get("expansions", 0) for e in attribution.values())
-    total_fm = sum(e.get("fm_sampled_seconds", 0.0) for e in attribution.values())
-    total_canon = sum(
-        e.get("canon_sampled_seconds", 0.0) for e in attribution.values()
-    )
+    total_fm = sum(e.get("fm_seconds", 0.0) for e in attribution.values())
+    total_canon = sum(e.get("canon_seconds", 0.0) for e in attribution.values())
     unattributed = attribution.get(UNATTRIBUTED[1], {}).get("expansions", 0)
     attributed = total_exp - unattributed
     lines = ["search hotspots (by construct):"]
@@ -169,13 +165,9 @@ def render_attribution(attribution: dict[str, dict], rows: int = _HOTSPOT_ROWS) 
     for label, entry in ordered[:rows]:
         expansions = entry.get("expansions", 0)
         share = expansions / total_exp if total_exp else 0.0
-        fm_share = (
-            entry.get("fm_sampled_seconds", 0.0) / total_fm if total_fm else 0.0
-        )
+        fm_share = entry.get("fm_seconds", 0.0) / total_fm if total_fm else 0.0
         canon_share = (
-            entry.get("canon_sampled_seconds", 0.0) / total_canon
-            if total_canon
-            else 0.0
+            entry.get("canon_seconds", 0.0) / total_canon if total_canon else 0.0
         )
         depth = entry.get("depth_sum", 0) / expansions if expansions else 0.0
         task = entry.get("task", "") or "—"

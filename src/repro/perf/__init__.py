@@ -8,7 +8,8 @@ Three pieces:
   successor memoization, child summaries).  Reading it costs a dict
   copy; incrementing it costs one integer add, so the counters stay on
   even in production runs.
-* :mod:`repro.perf.phases` — the sampled per-phase wall-clock timers.
+* :mod:`repro.perf.phases` — the per-phase wall-clock timers (every
+  outermost activation timed).
 * :mod:`repro.perf.bench` — named benchmark families (four service
   suites from :mod:`repro.service.suites`, plus the edit-adjacent
   ``incremental`` pairs), recorded to machine-readable

@@ -46,7 +46,6 @@ from repro.fuzz.coverage import COVERAGE
 from repro.obs import metrics, trace
 from repro.obs.attribution import ATTRIBUTION
 from repro.perf.counters import PerfCounters
-from repro.perf.phases import PHASES, PhaseTimers
 from repro.service.jobs import VerificationJob
 from repro.service.suites import build_suite
 from repro.symbolic import store as symbolic_store
@@ -55,12 +54,14 @@ from repro.verifier.engine import Verifier
 from repro.verifier.result import VerificationStats
 
 #: Bump when the BENCH_*.json layout changes incompatibly.
-#: v2 added the sampled per-phase timing block (``"phases"``) and
-#: null rates for never-consulted caches; v1 records stay loadable.
-BENCH_SCHEMA_VERSION = 2
+#: v2 added a per-phase timing block (``"phases"``) and null rates for
+#: never-consulted caches; v3 made ``"phases"`` the plain exact
+#: ``{phase: {calls, seconds}}`` table.  :func:`compare_records` reads
+#: neither block, so v1 and v2 records stay loadable.
+BENCH_SCHEMA_VERSION = 3
 
 #: Schema versions :func:`load_record` accepts (old baselines included).
-_ACCEPTED_SCHEMA_VERSIONS = frozenset({1, BENCH_SCHEMA_VERSION})
+_ACCEPTED_SCHEMA_VERSIONS = frozenset({1, 2, BENCH_SCHEMA_VERSION})
 
 
 def _incremental_pairs() -> list[tuple[str, VerificationJob, VerificationJob]]:
@@ -198,11 +199,6 @@ def run_family(name: str, reps: int = 3) -> dict:
     # families ran before this one in the same process
     fm.clear_caches()
     symbolic_store.clear_canonical_caches()
-    # the phase timers sample on absolute call counts (every call until
-    # _SAMPLE_FULL, then every _SAMPLE_EVERY-th), so a warm process could
-    # leave a short family with zero sampled activations in some phase;
-    # resetting makes the recorded phases match a cold-start CLI run
-    PHASES.reset()
     runner = _RUNNERS.get(name, _run_jobs)
     walls: list[float] = []
     km_nodes = 0
@@ -233,15 +229,8 @@ def run_family(name: str, reps: int = 3) -> dict:
             cache: None if rate is None else round(rate, 4)
             for cache, rate in PerfCounters.rates(counters).items()
         },
-        # sampled per-phase timings from rep 0 (calls/timed/seconds raw,
-        # estimate extrapolated) — see docs/observability.md
-        "phases": {
-            "raw": phases,
-            "estimate_seconds": {
-                name: round(seconds, 6)
-                for name, seconds in PhaseTimers.estimate(phases).items()
-            },
-        },
+        # per-phase {calls, seconds} from rep 0 — see docs/observability.md
+        "phases": phases,
         "env": {
             "python": platform.python_version(),
             "platform": platform.platform(),

@@ -160,19 +160,13 @@ def enumerate_post_valuations(
     ``preserved`` on its keys.  Sound; samples numeric witnesses via FM."""
     limits = limits or EnumerationLimits()
     # hoist positive ∃ out of the post-condition: bound variables are
-    # enumerated like task variables and dropped from the result
+    # enumerated like task variables and dropped from the result.  One
+    # named like a task variable shadows it, so it is renamed apart: the
+    # task variable stays in the result, unconstrained by the ∃ (as
+    # apply_condition treats it)
     from repro.symbolic.apply import pull_exists
 
-    bound, post = pull_exists(post)
-    # a bound variable named like a task variable shadows it: rename it
-    # apart, so the task variable stays in the result, unconstrained by
-    # the ∃ (as apply_condition treats it)
-    shadowed = {
-        v: Variable(f"{v.name}'bound", v.kind) for v in bound if v in variables
-    }
-    if shadowed:
-        bound = tuple(shadowed.get(v, v) for v in bound)
-        post = post.rename(shadowed)
+    bound, post = pull_exists(post, avoid=variables)
     search_space = tuple(variables) + tuple(bound)
     free_id_vars = [
         v for v in search_space if v.kind is VarKind.ID and v not in preserved

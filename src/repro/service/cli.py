@@ -23,8 +23,8 @@ Six subcommands drive the batch verification service:
   written as replayable reports (``--replay``); exit codes 0 (all
   agree), 1 (discrepancy found / replay reproduced), 2 (usage error);
 * ``report`` — a ``--trace`` file summarized (per-phase breakdown, cache
-  rates, search hotspots), exported to Chrome/speedscope, or appended
-  to the cross-run history ledger.
+  rates, search hotspots), optionally exported as Chrome trace-event
+  JSON.
 """
 
 from __future__ import annotations
@@ -653,37 +653,6 @@ def _cmd_report(args: argparse.Namespace) -> int:
     from repro.obs.report import load_events, render, summarize
     from repro.perf.counters import PerfCounters
 
-    if not args.trace and not args.history:
-        raise _die("report: pass a trace file, --history DIR, or both")
-    if args.export and not args.trace:
-        raise _die("--export needs a trace file to convert")
-    if args.export and not args.out:
-        raise _die("--export needs --out FILE for the converted trace")
-    if args.out and not args.export:
-        raise _die("--out only makes sense with --export")
-    if args.append_history and not args.trace:
-        raise _die("--append-history needs a trace file to summarize")
-
-    history_records = None
-    if args.history:
-        from repro.obs.history import load_history
-
-        try:
-            history_records = load_history(args.history)
-        except OSError as exc:
-            raise _die(f"{args.history}: cannot read ledger ({exc.strerror or exc})")
-        except ValueError as exc:
-            raise _die(str(exc))
-
-    if not args.trace:
-        from repro.obs.history import render_trends, trends
-
-        if args.json:
-            print(json.dumps(trends(history_records), sort_keys=True))
-        else:
-            print(render_trends(history_records))
-        return 0
-
     try:
         events = load_events(args.trace)
     except OSError as exc:
@@ -692,25 +661,13 @@ def _cmd_report(args: argparse.Namespace) -> int:
         raise _die(str(exc))
     summary = summarize(events)
 
-    if args.export:
+    if args.chrome:
         from repro.obs.export import export_trace
 
         try:
-            export_trace(events, args.export, args.out)
+            export_trace(events, args.chrome)
         except OSError as exc:
-            raise _die(f"{args.out}: cannot write export ({exc.strerror or exc})")
-
-    appended = None
-    if args.append_history:
-        from repro.obs.history import append_history
-
-        try:
-            appended = append_history(events, args.append_history, label=args.label)
-        except OSError as exc:
-            raise _die(
-                f"{args.append_history}: cannot write ledger "
-                f"({exc.strerror or exc})"
-            )
+            raise _die(f"{args.chrome}: cannot write export ({exc.strerror or exc})")
 
     if args.json:
         document = {
@@ -726,25 +683,11 @@ def _cmd_report(args: argparse.Namespace) -> int:
             "rates": PerfCounters.rates(summary.counters),
             "attribution": summary.attribution,
         }
-        if history_records is not None:
-            from repro.obs.history import trends
-
-            document["history"] = trends(history_records)
         print(json.dumps(document, sort_keys=True))
     else:
         print(render(summary, top=args.top))
-        if args.export:
-            print(f"{args.export} export written to {args.out}")
-        if appended is not None:
-            print(
-                f"history record appended (suite {appended['suite']}, "
-                f"{len(appended['jobs'])} jobs)"
-            )
-        if history_records is not None:
-            from repro.obs.history import render_trends
-
-            print()
-            print(render_trends(history_records))
+        if args.chrome:
+            print(f"chrome export written to {args.chrome}")
     return 0
 
 
@@ -1005,14 +948,12 @@ def build_parser() -> argparse.ArgumentParser:
         "report",
         help="summarize a --trace JSONL file: per-phase time breakdown, "
         "cache hit rates, search hotspots, slowest jobs; export to "
-        "Chrome/speedscope; maintain a cross-run metrics ledger "
-        "(exit 2 on a missing/bad file)",
+        "Chrome trace-event JSON (exit 2 on a missing/bad file)",
     )
     report.add_argument(
         "trace",
         metavar="FILE.jsonl",
-        nargs="?",
-        help="trace file to analyze (optional with --history)",
+        help="trace file to analyze",
     )
     report.add_argument(
         "--json",
@@ -1026,33 +967,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="number of slowest jobs to list (default 5)",
     )
     report.add_argument(
-        "--export",
-        choices=("chrome", "speedscope"),
-        help="convert the trace: 'chrome' writes trace-event JSON "
-        "(open in ui.perfetto.dev or chrome://tracing), 'speedscope' "
-        "writes a speedscope.app profile; requires --out",
-    )
-    report.add_argument(
-        "--out",
+        "--chrome",
         metavar="FILE",
-        help="output path for the --export conversion",
-    )
-    report.add_argument(
-        "--append-history",
-        metavar="DIR",
-        help="append this trace's summary to the metrics ledger "
-        "(DIR/history.ndjson, created if missing)",
-    )
-    report.add_argument(
-        "--history",
-        metavar="DIR",
-        help="render per-job trends and drift flags from the metrics "
-        "ledger in DIR (works with or without a trace file)",
-    )
-    report.add_argument(
-        "--label",
-        default="",
-        help="label stored with --append-history records (e.g. a commit id)",
+        help="also write the trace as Chrome trace-event JSON (open in "
+        "ui.perfetto.dev or chrome://tracing)",
     )
     report.set_defaults(func=_cmd_report)
     return parser

@@ -168,7 +168,7 @@ class JobOutcome:
     process's cache traffic, not just the parent's.  None on cache hits
     (the job did no work this run)."""
     phases: dict | None = None
-    """This job's sampled per-phase timings (:mod:`repro.perf.phases`),
+    """This job's per-phase ``{calls, seconds}`` (:mod:`repro.perf.phases`),
     captured like ``counters``; covers verification *and* witness
     concretization."""
     attribution: dict | None = None
@@ -257,7 +257,7 @@ class JobOutcome:
         serial or parallel, cached or not — must agree on this dict
         exactly.  ``counters`` are excluded because per-job cache traffic
         depends on what ran earlier in the same process; ``stats``,
-        ``phases``, and ``attribution`` because they embed sampled wall
+        ``phases``, and ``attribution`` because they embed wall-clock
         seconds."""
         data = self.to_dict()
         del data["wall_seconds"]

@@ -9,16 +9,20 @@ are disjunctive: null argument / different anchor / attribute mismatch).
 
 from __future__ import annotations
 
-from typing import Callable, Iterator, Mapping
+import itertools
+from typing import Callable, Iterable, Iterator, Mapping
 
 from repro.database.schema import AttributeKind
 from repro.errors import ConditionError
 from repro.logic.conditions import (
+    And,
     ArithAtom,
     Atom,
     Condition,
     Eq,
+    Exists,
     Not,
+    Or,
     RelationAtom,
     eliminate_single_atom_exists,
     nnf_condition,
@@ -39,39 +43,62 @@ def term_node(store: ConstraintStore, term: Term) -> Node:
     return store.node_of(term)
 
 
-def pull_exists(condition: Condition) -> tuple[tuple[Variable, ...], Condition]:
+def pull_exists(
+    condition: Condition, avoid: Iterable[Variable] = ()
+) -> tuple[tuple[Variable, ...], Condition]:
     """Hoist existential quantifiers out of positive boolean structure.
 
     ∃ distributes over ∧ and ∨; negative occurrences (∃ under ¬) cannot be
     handled symbolically and raise.  Returns (bound variables, matrix).
-    """
-    from repro.logic.conditions import And, Exists, Not, Or
 
-    if isinstance(condition, Exists):
-        inner_bound, matrix = pull_exists(condition.body)
-        return tuple(condition.bound) + inner_bound, matrix
-    if isinstance(condition, (And, Or)):
-        bound: tuple[Variable, ...] = ()
-        parts = []
-        for part in condition.parts:
-            part_bound, part_matrix = pull_exists(part)
-            overlap = set(part_bound) & set(bound)
-            if overlap:
-                raise ConditionError(
-                    f"reused bound variable names {overlap}; rename them"
-                )
-            bound += part_bound
-            parts.append(part_matrix)
-        return bound, type(condition)(*parts)
-    if isinstance(condition, Not):
-        inner_bound, _ = pull_exists(condition.body)
-        if inner_bound:
+    Hoisting never captures: a bound variable is renamed apart
+    (α-conversion) when its name is free in ``condition``, is in
+    ``avoid``, or is already bound by an earlier ∃.  The fresh name is
+    ``name'k`` for the smallest ``k`` not used anywhere in the condition,
+    so the rewrite is a pure function of ``condition`` and ``avoid``.
+    """
+    taken = {v.name for v in condition.variables()} | {v.name for v in avoid}
+    used = taken | _bound_names(condition)
+    bound: list[Variable] = []
+
+    def hoist(part: Condition) -> Condition:
+        if isinstance(part, Exists):
+            renaming: dict[Variable, Variable] = {}
+            for variable in part.bound:
+                if variable.name in taken:
+                    fresh = next(
+                        f"{variable.name}'{k}"
+                        for k in itertools.count(1)
+                        if f"{variable.name}'{k}" not in used
+                    )
+                    used.add(fresh)
+                    renaming[variable] = Variable(fresh, variable.kind)
+                    variable = renaming[variable]
+                taken.add(variable.name)
+                bound.append(variable)
+            return hoist(part.body.rename(renaming) if renaming else part.body)
+        if isinstance(part, (And, Or)):
+            return type(part)(*(hoist(p) for p in part.parts))
+        if isinstance(part, Not) and _bound_names(part.body):
             raise ConditionError(
                 "∃ under negation is a universal quantifier — not supported; "
                 "rewrite the condition"
             )
-        return (), condition
-    return (), condition
+        return part
+
+    matrix = hoist(condition)
+    return tuple(bound), matrix
+
+
+def _bound_names(condition: Condition) -> set[str]:
+    """The names every ∃ in ``condition`` binds, at any depth."""
+    if isinstance(condition, Exists):
+        return {v.name for v in condition.bound} | _bound_names(condition.body)
+    if isinstance(condition, Not):
+        return _bound_names(condition.body)
+    if isinstance(condition, (And, Or)):
+        return set().union(*(_bound_names(p) for p in condition.parts))
+    return set()
 
 
 def apply_condition(

@@ -840,7 +840,7 @@ class ConstraintStore:
             return self._canon_cache
         COUNTERS.store_key_misses += 1
         # misses do the real canonicalization work; hits are one attribute
-        # read, so only misses feed the sampled "canon" phase timer
+        # read, so only misses feed the "canon" phase timer
         token = PHASES.begin("canon")
         try:
             return self._canonical_key_uncached()

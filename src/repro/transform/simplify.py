@@ -223,21 +223,24 @@ def desugar_exists(has: HAS) -> HAS:
 
     Exact for post-conditions: the bound variables become ordinary
     artifact variables receiving nondeterministic values at the same
-    transition.  Pre-conditions and guards with ∃ are left untouched (the
-    verifier evaluates them natively); hoisting them would change their
-    meaning.
+    transition (one named like a task variable is renamed apart first, so
+    the task variable stays unconstrained by the ∃).  Pre-conditions and
+    guards with ∃ are left untouched (the verifier evaluates them
+    natively); hoisting them would change their meaning.
     """
 
-    def strip(condition: Condition) -> tuple[tuple[Variable, ...], Condition]:
+    def strip(
+        condition: Condition, task: Task
+    ) -> tuple[tuple[Variable, ...], Condition]:
         from repro.symbolic.apply import pull_exists
 
-        return pull_exists(condition)
+        return pull_exists(condition, avoid=task.variables)
 
     def rebuild(task: Task) -> Task:
         extra: list[Variable] = []
         services = []
         for svc in task.services:
-            bound, matrix = strip(svc.post)
+            bound, matrix = strip(svc.post, task)
             extra.extend(bound)
             services.append(replace(svc, post=matrix))
         children = tuple(rebuild(c) for c in task.children)

@@ -1,11 +1,11 @@
 #!/usr/bin/env python
-"""Regenerate the golden export files from the synthetic trace fixture
+"""Regenerate the golden Chrome export from the synthetic trace fixture
 in ``tests/test_obs_analysis.py``:
 
     PYTHONPATH=src python tests/golden/regen.py
 
-Only run this after an *intentional* change to the export formats, and
-review the diff — the goldens pin the exporters' exact bytes.
+Only run this after an *intentional* change to the export format, and
+review the diff — the golden pins the exporter's exact bytes.
 """
 
 from __future__ import annotations
@@ -22,11 +22,9 @@ from repro.obs.export import export_trace  # noqa: E402
 
 
 def main() -> None:
-    events = _synthetic_serial_events()
-    for fmt in ("chrome", "speedscope"):
-        out = HERE / f"trace_serial.{fmt}.json"
-        export_trace(events, fmt, out)
-        print(f"wrote {out}")
+    out = HERE / "trace_serial.chrome.json"
+    export_trace(_synthetic_serial_events(), out)
+    print(f"wrote {out}")
 
 
 if __name__ == "__main__":

@@ -36,6 +36,10 @@ def refinements(store, condition):
     return list(apply_condition(store, condition))
 
 
+def keys(stores):
+    return sorted(repr(s.canonical_key()) for s in stores)
+
+
 class TestBasics:
     def test_true_false(self, store):
         assert len(refinements(store, TRUE)) == 1
@@ -123,6 +127,35 @@ class TestExists:
         assert refined.anchor_of(refined.node_of(x)) == "HOTELS"
         # … but c and pr are not bound afterwards
         assert c not in refined.bound_variables()
+
+    def test_hoisting_does_not_capture_a_free_variable(self, store):
+        """``x = null ∧ ∃x,pr,c. FLIGHTS(x,pr,c)`` is satisfiable: the bound
+        ``x`` is another variable than the free one, so it refines like
+        its renamed twin."""
+        c, pr = id_var("c"), num_var("pr")
+
+        def flight(anchor):
+            return Exists((anchor, pr, c), RelationAtom("FLIGHTS", (anchor, pr, c)))
+
+        captured = And(Eq(x, NULL), flight(x))
+        renamed = And(Eq(x, NULL), flight(y))
+        assert keys(refinements(store.copy(), captured)) == keys(
+            refinements(store.copy(), renamed)
+        )
+        assert keys(refinements(store.copy(), renamed))
+
+    def test_sibling_exists_may_reuse_a_name(self, store):
+        """``∃c.A ∧ ∃c.B`` binds two variables: it refines like its
+        renamed twin instead of raising."""
+        c, d = id_var("c"), id_var("d")
+        hotel = RelationAtom("HOTELS", (x, p, q))
+        reused = And(Exists((c,), Eq(c, x)), Exists((c,), Eq(c, y)), hotel)
+        renamed = And(Exists((c,), Eq(c, x)), Exists((d,), Eq(d, y)), hotel)
+        assert keys(refinements(store.copy(), reused)) == keys(
+            refinements(store.copy(), renamed)
+        )
+        bound, _matrix = pull_exists(reused)
+        assert len(set(bound)) == 2
 
     def test_negated_exists_rejected(self, store):
         """On every call, not only the first: a rewrite that raises

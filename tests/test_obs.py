@@ -9,6 +9,7 @@ a subprocess test, same scheme as ``tests/test_perf.py``)."""
 from __future__ import annotations
 
 import io
+import itertools
 import json
 import subprocess
 import sys
@@ -124,64 +125,54 @@ class TestTracer:
 
 
 # ======================================================================
-# sampled phase timers
+# phase timers
 # ======================================================================
+def _tick_clock(monkeypatch) -> None:
+    """Replace the phase timers' clock with one that advances 1 per read,
+    so every timed begin/end pair measures exactly one second."""
+    monkeypatch.setattr(
+        "repro.perf.phases.perf_counter", itertools.count().__next__
+    )
+
+
 class TestPhaseTimers:
     def test_basic_accounting(self):
         timers = PhaseTimers()
         token = timers.begin("fm")
         timers.end("fm", token)
         snap = timers.snapshot()
+        assert set(snap["fm"]) == {"calls", "seconds"}
         assert snap["fm"]["calls"] == 1
-        assert snap["fm"]["timed"] == 1
         assert snap["fm"]["seconds"] >= 0
 
-    def test_nested_activations_count_once(self):
+    def test_nested_activations_count_once(self, monkeypatch):
+        _tick_clock(monkeypatch)
         timers = PhaseTimers()
         outer = timers.begin("expand")
         inner = timers.begin("expand")
         assert inner is None  # nested: not counted, not timed
         timers.end("expand", inner)
         timers.end("expand", outer)
-        snap = timers.snapshot()
-        assert snap["expand"]["calls"] == 1
-        assert snap["expand"]["timed"] == 1
+        assert timers.snapshot()["expand"] == {"calls": 1, "seconds": 1}
 
-    def test_sampling_schedule(self):
-        from repro.perf.phases import _SAMPLE_EVERY, _SAMPLE_FULL
-
+    def test_every_activation_is_timed(self, monkeypatch):
+        _tick_clock(monkeypatch)
         timers = PhaseTimers()
-        n = _SAMPLE_FULL + _SAMPLE_EVERY * 10
-        for _ in range(n):
+        for _ in range(1000):
             timers.end("canon", timers.begin("canon"))
-        snap = timers.snapshot()
-        assert snap["canon"]["calls"] == n
-        # full-rate region + every Nth thereafter
-        expected_timed = _SAMPLE_FULL + sum(
-            1
-            for call in range(_SAMPLE_FULL + 1, n + 1)
-            if call % _SAMPLE_EVERY == 0
-        )
-        assert snap["canon"]["timed"] == expected_timed
+        assert timers.snapshot()["canon"] == {"calls": 1000, "seconds": 1000}
 
-    def test_estimate_scales_sampled_time(self):
-        delta = {"fm": {"calls": 100, "timed": 10, "seconds": 1.0}}
-        assert PhaseTimers.estimate(delta) == {"fm": 10.0}
-        # fully-timed phases pass through unscaled
-        delta = {"fm": {"calls": 10, "timed": 10, "seconds": 1.0}}
-        assert PhaseTimers.estimate(delta) == {"fm": 1.0}
-
-    def test_since_reports_deltas_only(self):
+    def test_since_reports_deltas_only(self, monkeypatch):
+        _tick_clock(monkeypatch)
         timers = PhaseTimers()
-        timers.add("fm", 1.0)
-        timers.add("expand", 2.0)
+        for name in ("fm", "expand"):
+            timers.end(name, timers.begin(name))
         baseline = timers.snapshot()
-        timers.add("fm", 0.5)
-        timers.add("canon", 0.25)
+        for name in ("fm", "canon"):
+            timers.end(name, timers.begin(name))
         delta = metrics.delta(timers.snapshot(), baseline)
         assert set(delta) == {"fm", "canon"}  # expand idle: dropped
-        assert delta["fm"]["calls"] == 1
-        assert delta["fm"]["seconds"] == pytest.approx(0.5)
+        assert delta["fm"] == {"calls": 1, "seconds": 1}
 
 
 # ======================================================================
@@ -224,8 +215,8 @@ class TestReport:
                 "km_nodes": 10,
                 "total_seconds": 2.0,
                 "phases": {
-                    "fm": {"calls": 4, "timed": 4, "seconds": 0.5},
-                    "expand": {"calls": 1, "timed": 1, "seconds": 1.5},
+                    "fm": {"calls": 4, "seconds": 0.5},
+                    "expand": {"calls": 1, "seconds": 1.5},
                 },
                 "counters": {"fm_sat_hits": 8, "fm_sat_misses": 2},
             },
@@ -235,7 +226,7 @@ class TestReport:
                 "status": "violated",
                 "km_nodes": 20,
                 "total_seconds": 1.0,
-                "phases": {"fm": {"calls": 2, "timed": 2, "seconds": 0.25}},
+                "phases": {"fm": {"calls": 2, "seconds": 0.25}},
                 "counters": {"fm_sat_hits": 2, "fm_sat_misses": 3},
             },
         ]
@@ -261,7 +252,7 @@ class TestReport:
                 "ev": "span",
                 "name": "verify",
                 "dur": 4.0,
-                "phases": {"fm": {"calls": 1, "timed": 1, "seconds": 1.0}},
+                "phases": {"fm": {"calls": 1, "seconds": 1.0}},
             }
         ]
         summary = summarize(events)
@@ -349,7 +340,7 @@ class TestStatsPlumbing:
         a.merge(b)
         assert (a.km_nodes, a.summaries) == (3, 3)
         assert a.wall_seconds == pytest.approx(0.75)
-        # phase-time estimates ride the outcome's ``phases``, not stats
+        # phase times ride the outcome's ``phases``, not stats
         assert set(a.to_dict()) == {
             "km_nodes", "summaries", "summary_hits", "summaries_reused",
             "km_nodes_reused", "wall_seconds",
@@ -426,14 +417,16 @@ class TestCrossProcessMetrics:
 # ======================================================================
 _COUNTER_NAMES = tuple(PerfCounters().snapshot())
 _SERVICES = ("a", "b", "c")
-#: One registry action: (what, which counter/phase/service, amount).
+#: One registry action: (what, which counter/phase/service, amount).  A
+#: phase action is one begin/end pair, timed by the tick clock; a credit
+#: hands the attribution hook whole seconds, as that clock measures them
+#: (float seconds would let a tiny credit vanish into a large total).
 _ACTION = st.one_of(
     st.tuples(st.just("count"), st.sampled_from(_COUNTER_NAMES), st.integers(1, 5)),
-    st.tuples(st.just("phase"), st.sampled_from(("fm", "canon", "expand")),
-              st.floats(0.0, 1.0)),
+    st.tuples(st.just("phase"), st.sampled_from(("fm", "canon", "expand")), st.just(0)),
     st.tuples(st.just("expand"), st.sampled_from(_SERVICES), st.integers(0, 9)),
     st.tuples(st.just("successor"), st.sampled_from(_SERVICES), st.just(0)),
-    st.tuples(st.just("sample"), st.sampled_from(_SERVICES), st.floats(0.0, 1.0)),
+    st.tuples(st.just("credit"), st.sampled_from(_SERVICES), st.integers(0, 5)),
 )
 _WINDOW = st.lists(_ACTION, max_size=12)
 
@@ -445,14 +438,14 @@ def _act(registries, actions) -> None:
         if what == "count":
             setattr(counters, name, getattr(counters, name) + amount)
         elif what == "phase":
-            phases.add(name, amount)
+            phases.end(name, phases.begin(name))
         elif what == "expand":
             attribution.record_expansion(tag, amount)
         elif what == "successor":
             attribution.record_successor(tag)
         else:
             attribution.set_context("T", name)
-            attribution._on_phase_sample("fm", amount)
+            attribution._on_phase("fm", amount)
 
 
 def _snapshot(registries) -> dict:
@@ -481,12 +474,14 @@ class TestMetricsReadPath:
         self, before, first, second
     ):
         registries = (PerfCounters(), PhaseTimers(), AttributionRegistry())
-        _act(registries, before)
-        start = _snapshot(registries)
-        _act(registries, first)
-        middle = _snapshot(registries)
-        _act(registries, second)
-        end = _snapshot(registries)
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            _tick_clock(monkeypatch)
+            _act(registries, before)
+            start = _snapshot(registries)
+            _act(registries, first)
+            middle = _snapshot(registries)
+            _act(registries, second)
+            end = _snapshot(registries)
         merged: dict = {}
         metrics.merge(merged, _deltas(middle, start))
         metrics.merge(merged, _deltas(end, middle))
@@ -494,11 +489,14 @@ class TestMetricsReadPath:
         # flat counters: every name, zero included, and exact
         assert merged["counters"] == whole["counters"]
         assert set(whole["counters"]) == set(_COUNTER_NAMES)
-        # rows: exactly the ones active in a window (idle rows absent)
+        # rows: exactly the ones active in a window (idle rows absent; a
+        # zero-second credit moves no number, so its row is idle)
         window = first + second
         assert set(whole["phases"]) == {n for w, n, _ in window if w == "phase"}
         assert set(whole["attribution"]) == {
-            repr(n) for w, n, _ in window if w in ("expand", "successor", "sample")
+            repr(n)
+            for w, n, amount in window
+            if w in ("expand", "successor") or (w == "credit" and amount)
         }
         for kind in ("phases", "attribution"):
             assert _counts(merged[kind]) == _counts(whole[kind])
@@ -510,12 +508,11 @@ class TestMetricsReadPath:
     def test_merge_accumulates_every_kind(self):
         row = {
             "task": "T", "expansions": 2, "successors": 3, "depth_sum": 4,
-            "fm_sampled_seconds": 0.5, "fm_samples": 1,
-            "canon_sampled_seconds": 0.0, "canon_samples": 0,
+            "fm_seconds": 0.5, "canon_seconds": 0.0,
         }
         record = {
             "counters": {"fm_sat_hits": 2, "fm_sat_misses": 1},
-            "phases": {"fm": {"calls": 3, "timed": 2, "seconds": 0.25}},
+            "phases": {"fm": {"calls": 3, "seconds": 0.25}},
             "attribution": {"'s'": row},
         }
         into: dict = {}
@@ -526,7 +523,7 @@ class TestMetricsReadPath:
         assert into["phases"]["fm"]["seconds"] == pytest.approx(0.5)
         cell = into["attribution"]["'s'"]
         assert cell["expansions"] == 4 and cell["depth_sum"] == 8
-        assert cell["fm_sampled_seconds"] == pytest.approx(1.0)
+        assert cell["fm_seconds"] == pytest.approx(1.0)
         assert row["expansions"] == 2  # the merged row is a copy
         # a row's non-numbers keep their first value
         metrics.merge(into, {"attribution": {"'s'": {"task": "U", "expansions": 1}}})
@@ -768,9 +765,10 @@ class TestBenchSchema:
         from repro.perf.bench import BENCH_SCHEMA_VERSION, run_family
 
         record = run_family("travel-lite", reps=1)
-        assert record["schema_version"] == BENCH_SCHEMA_VERSION == 2
-        assert "raw" in record["phases"]
-        assert record["phases"]["estimate_seconds"].get("expand", 0) > 0
+        assert record["schema_version"] == BENCH_SCHEMA_VERSION == 3
+        assert record["phases"]["expand"]["seconds"] > 0
+        for row in record["phases"].values():
+            assert set(row) == {"calls", "seconds"}
         # every rate is a float in [0,1] or None — never a crash
         for rate in record["rates"].values():
             assert rate is None or 0.0 <= rate <= 1.0

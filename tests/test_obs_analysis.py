@@ -1,17 +1,17 @@
 """The analysis layer on top of the trace substrate: search-cost
-attribution, standard-format exports (Chrome trace-event / speedscope),
-and the cross-run history ledger.
+attribution and the Chrome trace-event export.
 
 The attribution contract mirrors the tracer's: always on, semantically
 invisible (A/B-tested with the registry disabled), and — minus its
-sampled-seconds fields — deterministic across runs and PYTHONHASHSEED
-values.  The exporters are pure functions of the parsed event list, so
-golden files in ``tests/golden/`` pin their exact output bytes.
+seconds fields — deterministic across runs and PYTHONHASHSEED values.
+The exporter is a pure function of the parsed event list, so a golden
+file in ``tests/golden/`` pins its exact output bytes.
 """
 
 from __future__ import annotations
 
 import io
+import itertools
 import json
 import subprocess
 import sys
@@ -23,23 +23,9 @@ import pytest
 from repro.examples.travel import discount_policy_property_lite, travel_lite
 from repro.obs import metrics, trace
 from repro.obs.attribution import ATTRIBUTION, UNATTRIBUTED, AttributionRegistry
-from repro.obs.export import (
-    MAIN_PID,
-    WORKERS_PID,
-    export_trace,
-    to_chrome,
-    to_speedscope,
-)
-from repro.obs.history import (
-    HISTORY_SCHEMA_VERSION,
-    LEDGER_NAME,
-    append_history,
-    load_history,
-    render_trends,
-    suite_fingerprint,
-    trends,
-)
-from repro.obs.report import render, scrub_event, summarize
+from repro.obs.export import MAIN_PID, WORKERS_PID, export_trace, to_chrome
+from repro.obs.report import load_events, render, scrub_event, summarize
+from repro.perf.phases import PhaseTimers
 from repro.service.jobs import VerificationJob
 from repro.verifier.config import VerifierConfig
 
@@ -103,18 +89,32 @@ class TestAttributionRegistry:
 
     def test_phase_samples_credited_to_context(self):
         reg = AttributionRegistry()
-        reg._on_phase_sample("fm", 0.5)  # no context: dropped
+        reg._on_phase("fm", 0.5)  # no context: dropped
         reg.set_context("T", "T.svc")
-        reg._on_phase_sample("fm", 0.25)
-        reg._on_phase_sample("canon", 0.125)
-        reg._on_phase_sample("expand", 9.0)  # only fm/canon are credited
+        reg._on_phase("fm", 0.25)
+        reg._on_phase("canon", 0.125)
+        reg._on_phase("expand", 9.0)  # only fm/canon are credited
         reg.clear_context()
-        reg._on_phase_sample("fm", 0.5)  # context cleared: dropped
+        reg._on_phase("fm", 0.5)  # context cleared: dropped
         (entry,) = reg.snapshot().values()
-        assert entry["fm_sampled_seconds"] == pytest.approx(0.25)
-        assert entry["fm_samples"] == 1
-        assert entry["canon_sampled_seconds"] == pytest.approx(0.125)
-        assert entry["canon_samples"] == 1
+        assert entry["fm_seconds"] == pytest.approx(0.25)
+        assert entry["canon_seconds"] == pytest.approx(0.125)
+
+    def test_every_activation_credited(self, monkeypatch):
+        """The cell holds the exact total: with a clock that advances 1
+        per read, 1,000 fm activations credit 1,000 seconds."""
+        monkeypatch.setattr(
+            "repro.perf.phases.perf_counter", itertools.count().__next__
+        )
+        reg = AttributionRegistry()
+        timers = PhaseTimers()
+        timers.observer = reg._on_phase
+        reg.set_context("T", "T.svc")
+        for _ in range(1000):
+            timers.end("fm", timers.begin("fm"))
+        (entry,) = reg.snapshot().values()
+        assert entry["fm_seconds"] == 1000
+        assert timers.snapshot()["fm"] == {"calls": 1000, "seconds": 1000}
 
     def test_disabled_registry_records_nothing(self):
         reg = AttributionRegistry()
@@ -122,7 +122,7 @@ class TestAttributionRegistry:
         reg.record_expansion(_tag("T", "s"), depth=1)
         reg.record_successor(_tag("T", "s"))
         reg.set_context("T", "s")
-        reg._on_phase_sample("fm", 1.0)
+        reg._on_phase("fm", 1.0)
         assert reg.snapshot() == {}
 
     def test_since_reports_deltas_and_drops_idle_rows(self):
@@ -143,17 +143,15 @@ class TestAttributionRegistry:
             "attribution": {
                 "'s'": {
                     "task": "T", "expansions": 5, "successors": 7,
-                    "depth_sum": 9, "fm_sampled_seconds": 0.1,
-                    "fm_samples": 2, "canon_sampled_seconds": 0.2,
-                    "canon_samples": 1,
+                    "depth_sum": 9, "fm_seconds": 0.1, "canon_seconds": 0.2,
                 }
             },
         }
         scrubbed = scrub_event(record)
         entry = scrubbed["attribution"]["'s'"]
-        assert "fm_sampled_seconds" not in entry
-        assert "canon_sampled_seconds" not in entry
-        assert entry["expansions"] == 5 and entry["depth_sum"] == 9
+        assert entry == {
+            "task": "T", "expansions": 5, "successors": 7, "depth_sum": 9,
+        }
 
 
 # ======================================================================
@@ -212,8 +210,7 @@ class TestAttributionEndToEnd:
 
     def test_attribution_counts_deterministic_across_runs(self):
         """Expansion/successor/depth counts never depend on timing; only
-        the sampled-seconds channels carry wall-clock noise (and the
-        sampling schedule's in-process position)."""
+        the seconds channels carry wall-clock noise."""
 
         def counts(finish):
             return {
@@ -279,9 +276,9 @@ for line in sink.getvalue().splitlines():
 
 @pytest.mark.slow
 def test_attribution_is_hash_seed_independent():
-    """The scrubbed attribution table (labels, counts, depths, sample
-    counts — everything but raw seconds) is byte-stable across
-    PYTHONHASHSEED values."""
+    """The scrubbed attribution table (labels, counts, depths —
+    everything but raw seconds) is byte-stable across PYTHONHASHSEED
+    values."""
     outputs = set()
     for seed in ("0", "1", "4242"):
         result = subprocess.run(
@@ -297,11 +294,14 @@ def test_attribution_is_hash_seed_independent():
 
 
 # ======================================================================
-# exports: synthetic traces with fixed timestamps
+# the Chrome export: synthetic traces with fixed timestamps
 # ======================================================================
 def _synthetic_serial_events():
     """A two-job serial suite with nested spans and fixed times — the
-    golden-file fixture (regenerate with ``tests/golden/regen.py``)."""
+    golden-file fixture (regenerate with ``tests/golden/regen.py``).
+    Its phase and attribution rows keep an older trace layout (``timed``,
+    ``*_sampled_seconds``): the export copies record fields it does not
+    map into ``args`` untouched, so they pin only that losslessness."""
     return [
         {"ev": "suite_start", "t": 0.0, "total": 2, "workers": 1},
         {"ev": "job_start", "t": 0.05, "name": "alpha", "key": "k-alpha"},
@@ -413,185 +413,13 @@ class TestChromeExport:
 
     def test_golden_file(self, tmp_path):
         out = tmp_path / "trace.chrome.json"
-        export_trace(_synthetic_serial_events(), "chrome", out)
+        export_trace(_synthetic_serial_events(), out)
         golden = GOLDEN / "trace_serial.chrome.json"
         assert out.read_text() == golden.read_text()
 
 
-class TestSpeedscopeExport:
-    def test_profiles_structure(self):
-        document = to_speedscope(_synthetic_serial_events())
-        assert document["$schema"] == (
-            "https://www.speedscope.app/file-format-schema.json"
-        )
-        frames = [f["name"] for f in document["shared"]["frames"]]
-        assert "verify: p1" in frames
-        assert "explore: root search" in frames
-        assert "phase: expand" in frames and "phase: fm" in frames
-        evented, sampled = document["profiles"]
-        assert evented["type"] == "evented"
-        assert sampled["type"] == "sampled"
-        # open/close balance and monotonically non-decreasing times
-        opens = [e for e in evented["events"] if e["type"] == "O"]
-        closes = [e for e in evented["events"] if e["type"] == "C"]
-        assert len(opens) == len(closes) == 2
-        ats = [e["at"] for e in evented["events"]]
-        assert ats == sorted(ats)
-        assert evented["endValue"] >= max(ats)
-        # sampled weights are the estimated per-phase seconds:
-        # fm is sampled 20/100, so 0.04 s scales to 0.2 s
-        weight_of = {
-            document["shared"]["frames"][s[0]]["name"]: w
-            for s, w in zip(sampled["samples"], sampled["weights"])
-        }
-        assert weight_of["phase: expand"] == pytest.approx(0.3)
-        assert weight_of["phase: fm"] == pytest.approx(0.2)
-
-    def test_nesting_is_well_formed(self):
-        """explore (0.1–0.3) nests inside verify (0.06–0.46): the close
-        events must unwind the stack in order."""
-        document = to_speedscope(_synthetic_serial_events())
-        evented = document["profiles"][0]
-        frames = document["shared"]["frames"]
-        sequence = [
-            (e["type"], frames[e["frame"]]["name"]) for e in evented["events"]
-        ]
-        assert sequence == [
-            ("O", "verify: p1"),
-            ("O", "explore: root search"),
-            ("C", "explore: root search"),
-            ("C", "verify: p1"),
-        ]
-
-    def test_golden_file(self, tmp_path):
-        out = tmp_path / "trace.speedscope.json"
-        export_trace(_synthetic_serial_events(), "speedscope", out)
-        golden = GOLDEN / "trace_serial.speedscope.json"
-        assert out.read_text() == golden.read_text()
-
-    def test_unknown_format_rejected(self, tmp_path):
-        with pytest.raises(ValueError, match="unknown export format"):
-            export_trace([], "perf", tmp_path / "x")
-
-
 # ======================================================================
-# the history ledger
-# ======================================================================
-def _ledger_record(wall, km, key="k1", counters=None, label=""):
-    return {
-        "schema_version": HISTORY_SCHEMA_VERSION,
-        "suite": suite_fingerprint([key]),
-        "label": label,
-        "jobs": [{"name": "j", "key": key, "status": "holds",
-                  "km_nodes": km, "wall_seconds": wall,
-                  "total_seconds": wall}],
-        "wall_seconds": wall,
-        "events": 10,
-        "counters": counters or {},
-        "phases": {},
-        "attribution": {},
-        "recorded_unix": 0,
-    }
-
-
-class TestHistoryLedger:
-    def test_fingerprint_order_and_name_independent(self):
-        assert suite_fingerprint(["a", "b"]) == suite_fingerprint(["b", "a"])
-        assert suite_fingerprint(["a"]) != suite_fingerprint(["a", "b"])
-
-    def test_append_load_roundtrip(self, tmp_path):
-        events = _synthetic_serial_events()
-        record = append_history(events, tmp_path / "ledger", label="r1")
-        append_history(events, tmp_path / "ledger", label="r2")
-        assert (tmp_path / "ledger" / LEDGER_NAME).exists()
-        records = load_history(tmp_path / "ledger")
-        assert [r["label"] for r in records] == ["r1", "r2"]
-        assert records[0]["suite"] == record["suite"]
-        assert [j["name"] for j in records[0]["jobs"]] == ["alpha", "beta"]
-        assert records[0]["jobs"][0]["km_nodes"] == 1000
-
-    def test_load_missing_dir_is_empty(self, tmp_path):
-        assert load_history(tmp_path / "nowhere") == []
-
-    def test_load_rejects_corrupt_and_skips_newer_schema(self, tmp_path):
-        ledger_dir = tmp_path / "ledger"
-        ledger_dir.mkdir()
-        ledger = ledger_dir / LEDGER_NAME
-        newer = dict(
-            _ledger_record(1.0, 5),
-            schema_version=HISTORY_SCHEMA_VERSION + 1,
-        )
-        ledger.write_text(
-            json.dumps(_ledger_record(1.0, 5)) + "\n"
-            + json.dumps(newer) + "\n"
-        )
-        assert len(load_history(ledger_dir)) == 1  # newer major skipped
-        ledger.write_text('{"ok": 1}\nnot json\n')
-        with pytest.raises(ValueError, match=f"{LEDGER_NAME}:1"):
-            load_history(ledger_dir)  # line 1: no schema_version
-
-    def test_no_drift_on_stable_ledger(self):
-        records = [_ledger_record(1.0, 100) for _ in range(3)]
-        analysis = trends(records)
-        assert analysis["runs"] == 3
-        assert analysis["flags"] == []
-        (job,) = analysis["jobs"]
-        assert job["wall_change"] == pytest.approx(0.0)
-        assert "no drift against the ledger median" in render_trends(records)
-
-    def test_wall_drift_flagged_beyond_25_percent(self):
-        records = [_ledger_record(1.0, 100) for _ in range(3)]
-        records.append(_ledger_record(1.5, 100))
-        analysis = trends(records)
-        (job,) = analysis["jobs"]
-        assert job["wall_drift"] and job["wall_change"] == pytest.approx(0.5)
-        assert any("wall +50%" in flag for flag in analysis["flags"])
-        assert "WALL DRIFT" in render_trends(records)
-        # ±20% is noise, not drift
-        records[-1] = _ledger_record(1.2, 100)
-        assert trends(records)["flags"] == []
-
-    def test_km_drift_on_identical_inputs_flagged(self):
-        records = [_ledger_record(1.0, 100), _ledger_record(1.0, 101)]
-        analysis = trends(records)
-        assert analysis["jobs"][0]["km_drift"]
-        assert any("deterministic" in flag for flag in analysis["flags"])
-        assert "KM DRIFT" in render_trends(records)
-
-    def test_changed_key_exempts_from_drift(self):
-        records = [
-            _ledger_record(1.0, 100, key="k1"),
-            _ledger_record(9.0, 999, key="k2"),  # new content: all bets off
-        ]
-        analysis = trends(records)
-        assert analysis["jobs"][0].get("content_changed")
-        assert analysis["flags"] == []
-        assert "(content changed)" in render_trends(records)
-
-    def test_hit_rate_drop_flagged(self):
-        warm = {"fm_sat_hits": 9, "fm_sat_misses": 1}
-        cold = {"fm_sat_hits": 5, "fm_sat_misses": 5}
-        records = [
-            _ledger_record(1.0, 100, counters=warm),
-            _ledger_record(1.0, 100, counters=warm),
-            _ledger_record(1.0, 100, counters=cold),
-        ]
-        analysis = trends(records)
-        assert any("fm_sat" in flag for flag in analysis["flags"])
-        assert "cache hit-rate drift" in render_trends(records)
-        # a rate *rise* is not drift
-        records[-1] = _ledger_record(
-            1.0, 100, counters={"fm_sat_hits": 10, "fm_sat_misses": 0}
-        )
-        assert trends(records)["flags"] == []
-
-    def test_empty_ledger_renders_no_runs(self):
-        assert trends([])["runs"] == 0
-        assert render_trends([]) == "history: no runs recorded"
-
-
-# ======================================================================
-# CLI: the new report flags end to end
+# CLI: the report flags end to end
 # ======================================================================
 class TestCliAnalysis:
     def _main(self, argv, capsys):
@@ -627,60 +455,31 @@ class TestCliAnalysis:
         )
         assert total > 0
 
-    def test_export_and_history_roundtrip(self, tmp_path, capsys):
+    def test_chrome_export_roundtrip(self, tmp_path, capsys):
         trace_path = self._trace(tmp_path, capsys)
         chrome = tmp_path / "trace.chrome.json"
-        ledger = tmp_path / "ledger"
         code, out, _err = self._main(
-            ["report", str(trace_path), "--export", "chrome",
-             "--out", str(chrome), "--append-history", str(ledger),
-             "--label", "r1"],
-            capsys,
+            ["report", str(trace_path), "--chrome", str(chrome)], capsys
         )
         assert code == 0
         assert f"chrome export written to {chrome}" in out
-        assert "history record appended" in out
         document = json.loads(chrome.read_text())
         assert any(e["ph"] == "X" for e in document["traceEvents"])
-        speedscope = tmp_path / "trace.speedscope.json"
-        code, out, _err = self._main(
-            ["report", str(trace_path), "--export", "speedscope",
-             "--out", str(speedscope), "--append-history", str(ledger),
-             "--label", "r2"],
-            capsys,
+        assert chrome.read_text() == (
+            json.dumps(to_chrome(load_events(trace_path)), sort_keys=True) + "\n"
         )
-        assert code == 0
-        assert json.loads(speedscope.read_text())["profiles"]
-        # same trace appended twice: identical walls, so zero drift
-        code, out, _err = self._main(["report", "--history", str(ledger)], capsys)
-        assert code == 0
-        assert "2 runs recorded" in out
-        assert "no drift against the ledger median" in out
-        code, out, _err = self._main(
-            ["report", str(trace_path), "--history", str(ledger), "--json"],
-            capsys,
-        )
-        assert code == 0
-        assert json.loads(out)["history"]["runs"] == 2
 
     def test_flag_validation(self, tmp_path, capsys):
+        code, _out, err = self._main(["report"], capsys)
+        assert code == 2
+        assert "FILE.jsonl" in err  # the trace argument is required
         trace_path = tmp_path / "t.jsonl"
         trace_path.write_text('{"ev": "suite_start", "t": 0.0}\n')
-        cases = [
-            (["report"], "pass a trace file"),
-            (["report", "--export", "chrome", "--history", "h"],
-             "--export needs a trace file"),
-            (["report", str(trace_path), "--export", "chrome"],
-             "--export needs --out"),
-            (["report", str(trace_path), "--out", "x.json"],
-             "--out only makes sense with --export"),
-            (["report", "--history", "h", "--append-history", "h2"],
-             "--append-history needs a trace file"),
-        ]
-        for argv, message in cases:
-            code, _out, err = self._main(argv, capsys)
-            assert code == 2, argv
-            assert message in err, argv
+        for removed in (["--export", "chrome"], ["--history", "h"]):
+            code, _out, _err = self._main(
+                ["report", str(trace_path), *removed], capsys
+            )
+            assert code == 2, removed
 
     def test_unwritable_trace_exits_2(self, tmp_path, capsys):
         target = tmp_path / "no_such_dir" / "t.jsonl"
@@ -693,8 +492,8 @@ class TestCliAnalysis:
     def test_export_write_failure_exits_2(self, tmp_path, capsys):
         trace_path = self._trace(tmp_path, capsys)
         code, _out, err = self._main(
-            ["report", str(trace_path), "--export", "chrome",
-             "--out", str(tmp_path / "no_such_dir" / "out.json")],
+            ["report", str(trace_path),
+             "--chrome", str(tmp_path / "no_such_dir" / "out.json")],
             capsys,
         )
         assert code == 2

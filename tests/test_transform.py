@@ -117,6 +117,25 @@ class TestDesugarExists:
         assert not _contains_exists(post)
         validate_has(flat)
 
+    def test_shadowing_exists_keeps_the_task_variable_free(self):
+        """``∃x,p. ITEMS(x,p)`` in a task that owns ``x`` leaves the task's
+        ``x`` unconstrained (it may be an OTHER id); hoisting must rename
+        the bound ``x`` apart, or the property below flips to holding."""
+        db = DatabaseSchema(
+            (Relation("ITEMS", (numeric("price"),)), Relation("OTHER", (numeric("w"),)))
+        )
+        x, p, q = id_var("x"), num_var("p"), num_var("q")
+        pick = Exists((x, p), RelationAtom("ITEMS", (x, p)))
+        svc = InternalService("pick", post=pick)
+        has = HAS(db, Task(name="R", variables=(x,), services=(svc,)))
+        flat = desugar_exists(has)
+        assert flat.root.variables[0] == x and len(flat.root.variables) == 3
+        an_item = Exists((q,), RelationAtom("ITEMS", (x, q)))
+        prop = HLTLProperty(HLTLSpec("R", Always(cond(Or(Eq(x, NULL), an_item)))))
+        config = VerifierConfig(km_budget=20000)
+        assert verify(has, prop, config).holds is False
+        assert verify(flat, prop, config).holds is False
+
     def test_desugared_system_verifies_identically(self):
         x = id_var("x")
         c = id_var("c")
