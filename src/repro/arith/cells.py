@@ -40,9 +40,6 @@ class SignCondition:
             for poly, sign in zip(self.polynomials, self.signs)
         ]
 
-    def sign_of(self, polynomial: LinExpr) -> Sign:
-        return self.signs[self.polynomials.index(polynomial)]
-
 
 @dataclass(frozen=True)
 class Cell:

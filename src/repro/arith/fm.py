@@ -43,9 +43,6 @@ class ConstraintSystem:
     def of(constraints: Iterable[Constraint]) -> "ConstraintSystem":
         return ConstraintSystem(tuple(constraints))
 
-    def and_also(self, *constraints: Constraint) -> "ConstraintSystem":
-        return ConstraintSystem(self.constraints + constraints)
-
     @property
     def unknowns(self) -> frozenset[Unknown]:
         result: set[Unknown] = set()

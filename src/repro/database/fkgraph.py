@@ -77,17 +77,9 @@ class ForeignKeyGraph:
             cyclic = cyclic or internal > 0
         return SchemaClass.LINEARLY_CYCLIC if cyclic else SchemaClass.ACYCLIC
 
-    @property
-    def is_acyclic(self) -> bool:
-        return self.classify() is SchemaClass.ACYCLIC
-
     # ------------------------------------------------------------------
     # path counting: F(n) and h(T)
     # ------------------------------------------------------------------
-    def out_edges(self, relation: str) -> list[tuple[str, str]]:
-        """Outgoing FK edges of ``relation`` as (label, target) pairs."""
-        return list(self.edges[relation])
-
     def path_count(self, relation: str, length: int) -> int:
         """Number of distinct FK paths of length at most ``length`` from
         ``relation`` (the empty path included).

@@ -82,10 +82,6 @@ class Relation:
         return 1 + len(self.attributes)
 
     @property
-    def numeric_attributes(self) -> tuple[Attribute, ...]:
-        return tuple(a for a in self.attributes if a.kind is AttributeKind.NUMERIC)
-
-    @property
     def foreign_keys(self) -> tuple[Attribute, ...]:
         return tuple(a for a in self.attributes if a.kind is AttributeKind.FOREIGN_KEY)
 

@@ -66,15 +66,6 @@ class ScenarioDocument:
             f"{self.source}: no property {name!r} (declared: {known})"
         )
 
-    def instance_named(self, name: str) -> DatabaseInstance:
-        for label, db in self.instances:
-            if label == name:
-                return db
-        known = ", ".join(label for label, _ in self.instances) or "none"
-        raise SpecificationError(
-            f"{self.source}: no instance {name!r} (declared: {known})"
-        )
-
     def jobs(self, default_config: VerifierConfig | None = None) -> list:
         """One :class:`VerificationJob` per property.
 

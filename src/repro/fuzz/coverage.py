@@ -129,7 +129,11 @@ class _Unit:
         return self
 
     def __exit__(self, *exc_info) -> None:
-        self._registry._units.remove(self._fired)
+        # units exit innermost first; pop by identity, since
+        # ``list.remove`` would detach the first *equal* set
+        units = self._registry._units
+        assert units and units[-1] is self._fired, "units exit innermost first"
+        units.pop()
 
 
 class CoverageRegistry:

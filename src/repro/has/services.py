@@ -120,11 +120,6 @@ class ClosingService:
         return (type(self), (self.pre, dict(self.output_map)))
 
     @property
-    def returned_parent_variables(self) -> tuple[Variable, ...]:
-        """``x̄^T_{Tc↑}`` — parent variables overwritten on return."""
-        return tuple(self.output_map.keys())
-
-    @property
     def return_variables(self) -> tuple[Variable, ...]:
         """``x̄^{Tc}_ret`` — the child's to-be-returned variables."""
         return tuple(self.output_map.values())

@@ -10,7 +10,6 @@ from repro.database.schema import DatabaseSchema
 from repro.errors import SpecificationError
 from repro.has.task import Task
 from repro.logic.conditions import Condition, TRUE
-from repro.logic.terms import Variable
 
 
 @dataclass
@@ -108,9 +107,6 @@ class HAS:
             task = self.task(task)
         child_depths = tuple(self.navigation_depth(c) for c in task.children)
         return navigation_depth(self.fk_graph, len(task.variables), child_depths)
-
-    def variables_of(self, task_name: str) -> tuple[Variable, ...]:
-        return self.task(task_name).variables
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

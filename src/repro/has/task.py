@@ -55,19 +55,6 @@ class Task:
     # derived vocabulary
     # ------------------------------------------------------------------
     @property
-    def set_relation_name(self) -> str:
-        """The artifact relation symbol ``S^T``."""
-        return f"S_{self.name}"
-
-    @property
-    def id_variables(self) -> tuple[Variable, ...]:
-        return tuple(v for v in self.variables if v.kind is VarKind.ID)
-
-    @property
-    def numeric_variables(self) -> tuple[Variable, ...]:
-        return tuple(v for v in self.variables if v.kind is VarKind.NUMERIC)
-
-    @property
     def input_variables(self) -> tuple[Variable, ...]:
         """``x̄^T_in`` — the domain of this task's f_in."""
         return self.opening.input_variables

@@ -16,7 +16,7 @@ without global variables and set atoms.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Mapping
+from typing import Mapping
 
 from repro.errors import ConditionError, SpecificationError
 from repro.has.system import HAS
@@ -99,11 +99,6 @@ class HLTLSpec:
 
     task: str
     formula: Formula
-
-    def child_specs(self) -> Iterator["ChildProp"]:
-        for payload in propositions(self.formula):
-            if isinstance(payload, ChildProp):
-                yield payload
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"[{self.formula!r}]_{self.task}"

@@ -175,10 +175,6 @@ class AttributionRegistry:
             }
         return {label: table[label] for label in sorted(table)}
 
-    def reset(self) -> None:
-        self._cells.clear()
-        self._context = None
-
 
 #: The process-global attribution registry the VASS/verifier layers feed.
 ATTRIBUTION = AttributionRegistry()

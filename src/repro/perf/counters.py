@@ -33,7 +33,7 @@ Counter semantics (hits / misses; rate = hits / (hits + misses)):
   stale record counts as a miss).
 * ``flock_waits`` / ``flock_acquires`` — advisory write-lock
   acquisitions on the on-disk caches that had to wait for another
-  process vs total acquisitions (sharded suites; no "rate" — the
+  process vs total acquisitions (concurrent writers; no "rate" — the
   interesting number is the contention count itself).
 """
 

@@ -116,9 +116,6 @@ class PhaseTimers:
             for name, timer in self._timers.items()
         }
 
-    def reset(self) -> None:
-        self._timers.clear()
-
 
 #: The process-global phase-timer registry the verification stack feeds.
 PHASES = PhaseTimers()

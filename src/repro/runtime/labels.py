@@ -71,12 +71,3 @@ def observable_services(task: Task) -> list[ServiceRef]:
         refs.append(opening(child.name))
         refs.append(closing(child.name))
     return refs
-
-
-def delta_services(task: Task) -> list[ServiceRef]:
-    """``Σ^δ_T``: services whose application can modify ``x̄^T``."""
-    refs = [internal(task.name, s.name) for s in task.services]
-    refs.append(opening(task.name))
-    for child in task.children:
-        refs.append(closing(child.name))
-    return refs

@@ -24,12 +24,6 @@ class TaskState:
     def value(self, variable: Variable) -> Value:
         return self.valuation[variable]
 
-    def with_valuation(self, valuation: Mapping[Variable, Value]) -> "TaskState":
-        return TaskState(dict(valuation), self.set_contents)
-
-    def with_set(self, contents: frozenset[SetTuple]) -> "TaskState":
-        return TaskState(self.valuation, contents)
-
     def set_tuple(self, task: Task) -> SetTuple:
         """The current value of ``s̄^T`` under this state's valuation."""
         return tuple(self.valuation[v] for v in task.set_variables)

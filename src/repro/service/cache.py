@@ -12,17 +12,16 @@ invocations — share state safely:
   :func:`~repro.service.summaries.persistent_summary_key`, the tier
   that makes re-verifying an edited scenario incremental.
 
-Sharded suites (``repro suite --shard k/N``) point N concurrent
-processes — possibly on different machines over a shared filesystem —
-at one cache directory.  The atomic tmp-file + rename was already
-correct under that regime (readers never see a torn file; last writer
-wins with value-equal content); on-disk writes additionally take an
-**advisory ``flock``** on a per-directory lockfile so concurrent
-writers serialize instead of racing renames, and every acquisition that
-had to *wait* is counted (``flock_waits`` in
-:mod:`repro.perf.counters`, plus a per-store ``lock_waits``) — the
-contention metric sharded runs report.  On platforms without ``fcntl``
-the lock degrades to the rename-only protocol.
+Several processes may write one cache directory at once: the workers
+of ``repro suite --workers N --summary-cache DIR``, or two runs that
+share a cache directory.  The atomic tmp-file + rename is correct under
+that regime (readers never see a torn file; last writer wins with
+value-equal content); on-disk writes additionally take an **advisory
+``flock``** on a per-directory lockfile so concurrent writers serialize
+instead of racing renames, and every acquisition that had to *wait* is
+counted (``flock_waits`` in :mod:`repro.perf.counters`, plus a
+per-store ``lock_waits``).  On platforms without ``fcntl`` the lock
+degrades to the rename-only protocol.
 """
 
 from __future__ import annotations
@@ -84,7 +83,7 @@ class _JsonStore:
         self.hits = 0
         self.misses = 0
         #: Advisory write-lock acquisitions that found the lock held by
-        #: another process (sharded-suite contention metric).
+        #: another process (concurrent-writer contention metric).
         self.lock_waits = 0
         if self.directory is not None:
             self.directory.mkdir(parents=True, exist_ok=True)

@@ -39,12 +39,7 @@ from repro.errors import ReproError
 from repro.service.cache import ResultCache
 from repro.service.jobs import STATUS_HOLDS, STATUS_VIOLATED, VerificationJob
 from repro.service.pool import execute_job
-from repro.service.runner import (
-    merge_shard_jsonl,
-    parse_shard,
-    run_batch,
-    shard_jobs,
-)
+from repro.service.runner import run_batch
 from repro.service.suites import build_suite, suite_names
 from repro.verifier.config import VerifierConfig
 
@@ -361,37 +356,10 @@ def _cmd_suite(args: argparse.Namespace) -> int:
     except ReproError as exc:
         # a .has file in the suite path failed to parse or validate
         raise _die(str(exc)) from None
-    if args.merge_jsonl:
-        if args.shard:
-            raise _die("--shard and --merge-jsonl are mutually exclusive")
-        try:
-            report = merge_shard_jsonl(jobs, args.merge_jsonl)
-        except (OSError, ValueError) as exc:
-            raise _die(str(exc)) from None
-        print(
-            f"suite {args.name!r}: merged {report.total} outcomes from "
-            f"{len(args.merge_jsonl)} shard file(s)"
-        )
-        print(report.format_report())
-        if args.jsonl:
-            report.to_jsonl(args.jsonl)
-            print(f"per-job JSONL written to {args.jsonl}")
-        if report.errors or report.unexpected:
-            return 1
-        return 0
-    shard_note = ""
-    if args.shard:
-        try:
-            index, count = parse_shard(args.shard)
-        except ValueError as exc:
-            raise _die(str(exc)) from None
-        full_total = len(jobs)
-        jobs = shard_jobs(jobs, index, count)
-        shard_note = f", shard {index}/{count} ({len(jobs)} of {full_total} jobs)"
     cache = _cache_from_args(args)
     print(
         f"suite {args.name!r}: {len(jobs)} jobs, workers={args.workers}, "
-        f"cache={'off' if cache is None else args.cache_dir}{shard_note}"
+        f"cache={'off' if cache is None else args.cache_dir}"
     )
     on_outcome = None
     if args.verbose:
@@ -764,24 +732,6 @@ def build_parser() -> argparse.ArgumentParser:
     suite.add_argument("--jsonl", metavar="PATH", help="export per-job JSONL report")
     suite.add_argument(
         "--verbose", action="store_true", help="print each job as it finishes"
-    )
-    suite.add_argument(
-        "--shard",
-        metavar="k/N",
-        help="run only this shard of the suite (1-based): jobs are "
-        "assigned to shards by content key, so N processes or machines "
-        "each running one shard — against a shared --cache-dir / "
-        "--summary-cache — cover the suite exactly once; write each "
-        "shard's --jsonl and reassemble with --merge-jsonl",
-    )
-    suite.add_argument(
-        "--merge-jsonl",
-        metavar="SHARD.jsonl",
-        nargs="+",
-        help="merge per-shard --jsonl exports back into one report "
-        "(suite order, byte-identical semantic content to an unsharded "
-        "run) instead of running jobs; combine with --jsonl to write "
-        "the merged export",
     )
     _add_cache_arguments(suite)
     _add_budget_arguments(suite)

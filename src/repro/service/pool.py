@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 from repro.errors import BudgetExceeded
 from repro.obs import metrics, trace
@@ -225,22 +225,3 @@ def run_payloads(
                     on_outcome(index, outcome)
     assert all(r is not None for r in results)
     return results  # type: ignore[return-value]
-
-
-def run_jobs(
-    jobs: Iterable[VerificationJob],
-    workers: int = 1,
-    on_outcome: Callable[[int, dict], None] | None = None,
-    summary_store=None,
-) -> list[JobOutcome]:
-    """Convenience wrapper: jobs in, outcomes (input order) out."""
-    payloads = [job.payload() for job in jobs]
-    return [
-        JobOutcome.from_dict(data)
-        for data in run_payloads(
-            payloads,
-            workers=workers,
-            on_outcome=on_outcome,
-            summary_store=summary_store,
-        )
-    ]

@@ -187,97 +187,6 @@ class BatchReport:
             )
 
 
-def parse_shard(spec: str) -> tuple[int, int]:
-    """Parse a ``k/N`` shard spec (1-based) into ``(index, count)``.
-
-    Raises ``ValueError`` with a usable message on anything malformed —
-    the CLI surfaces it verbatim."""
-    try:
-        index_text, count_text = spec.split("/", 1)
-        index, count = int(index_text), int(count_text)
-    except ValueError:
-        raise ValueError(
-            f"invalid shard spec {spec!r}: expected k/N, e.g. 2/4"
-        ) from None
-    if count < 1 or not 1 <= index <= count:
-        raise ValueError(
-            f"invalid shard spec {spec!r}: need 1 <= k <= N"
-        )
-    return index, count
-
-
-def shard_jobs(
-    jobs: Sequence[VerificationJob], index: int, count: int
-) -> list[VerificationJob]:
-    """The slice of ``jobs`` owned by shard ``index`` of ``count``
-    (1-based), preserving order.
-
-    Assignment hashes the job's *content key* (``int(key, 16) % count``),
-    not its position: it is deterministic across processes and machines,
-    independent of suite ordering, stable under PYTHONHASHSEED, and —
-    because identical jobs share a key — never splits duplicates across
-    shards, so each shard's internal dedup/cache behavior matches the
-    unsharded run's.  Content hashes are uniform, so shards are balanced
-    in expectation (by job count; not by cost — a suite whose cost is
-    concentrated in one job gains nothing from sharding it)."""
-    return [
-        job for job in jobs if int(job.key(), 16) % count == index - 1
-    ]
-
-
-def merge_shard_jsonl(
-    jobs: Sequence[VerificationJob],
-    shard_paths: Sequence[str | Path],
-    workers: int = 1,
-) -> BatchReport:
-    """Reassemble one :class:`BatchReport` from per-shard JSONL exports.
-
-    ``jobs`` is the *full* suite job list (the merge needs it to restore
-    suite order and to verify completeness); ``shard_paths`` are the
-    ``--jsonl`` files the ``--shard k/N`` runs wrote.  Per-job records
-    are matched to suite positions by content key — occurrences of a
-    duplicated key are consumed in order, which is exactly how the shard
-    that owned the key emitted them.  Raises ``ValueError`` when a job
-    has no record (a shard is missing or incomplete) or a record belongs
-    to no job (shards from a different suite).
-
-    The merged report's semantic content — verdicts, witnesses, km
-    counts, per-job semantic bytes — is byte-identical to an unsharded
-    run's; scheduling metadata (wall seconds, per-run cache hits) is
-    not, which is why the parity contract compares
-    :meth:`~repro.service.jobs.JobOutcome.semantic_bytes`
-    (tests/test_sharding.py)."""
-    from collections import deque
-
-    pending: dict[str, deque] = {}
-    for path in shard_paths:
-        with Path(path).open() as handle:
-            for line in handle:
-                line = line.strip()
-                if not line:
-                    continue
-                data = json.loads(line)
-                if data.get("aggregate"):
-                    continue
-                pending.setdefault(data["key"], deque()).append(data)
-    outcomes: list[JobOutcome] = []
-    for job in jobs:
-        queue = pending.get(job.key())
-        if not queue:
-            raise ValueError(
-                f"no shard record for job {job.name!r} "
-                f"(key {job.key()[:12]}…): shard outputs incomplete?"
-            )
-        outcomes.append(JobOutcome.from_dict(queue.popleft()))
-    leftover = sum(len(queue) for queue in pending.values())
-    if leftover:
-        raise ValueError(
-            f"{leftover} shard record(s) match no job in this suite: "
-            "shard outputs from a different suite?"
-        )
-    return BatchReport(outcomes=outcomes, workers=workers)
-
-
 def run_batch(
     jobs: Sequence[VerificationJob],
     workers: int = 1,

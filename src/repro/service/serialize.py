@@ -636,13 +636,6 @@ def _collect_condition_relations(condition: Condition, names: set[str]) -> None:
     # TRUE / FALSE / Eq / ArithAtom / SetAtom mention no relations
 
 
-def condition_relation_names(condition: Condition) -> set[str]:
-    """Every relation named by a ``RelationAtom`` anywhere in the condition."""
-    names: set[str] = set()
-    _collect_condition_relations(condition, names)
-    return names
-
-
 def spec_relation_names(spec: HLTLSpec) -> set[str]:
     """Relations named by the spec's condition propositions, including the
     nested child-spec obligations (β's domain is closed under children)."""

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.symbolic.symbolic_run import PeriodicSymbolicRun, SymbolicStep, segments_of
+from repro.symbolic.symbolic_run import PeriodicSymbolicRun, segments_of
 
 
 @dataclass
@@ -52,14 +52,6 @@ class RetrieveFunction:
             (retrieval - insertion for retrieval, insertion in self.mapping.items()),
             default=0,
         )
-
-
-def insertion_indices(steps: list[SymbolicStep]) -> list[int]:
-    return [i for i, s in enumerate(steps) if s.inserts and not s.input_bound]
-
-
-def retrieval_indices(steps: list[SymbolicStep]) -> list[int]:
-    return [i for i, s in enumerate(steps) if s.retrieves and not s.input_bound]
 
 
 def build_retrieve(run: PeriodicSymbolicRun, periods: int = 4) -> RetrieveFunction:

@@ -41,9 +41,6 @@ class TSType:
     nulls: tuple[bool, ...]
     anchors: tuple[str | None, ...]
 
-    def class_count(self) -> int:
-        return len(self.nulls)
-
     def is_input_bound(self, set_slot_count: int) -> bool:
         """Every non-null set slot shares a class with some input slot.
 

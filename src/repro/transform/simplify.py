@@ -244,8 +244,11 @@ def desugar_exists(has: HAS) -> HAS:
             extra.extend(bound)
             services.append(replace(svc, post=matrix))
         children = tuple(rebuild(c) for c in task.children)
+        # a name two services bind is one variable: each post still
+        # constrains it only at its own transition, because internal
+        # services re-choose non-input variables
         new_vars = task.variables + tuple(
-            v for v in extra if v not in task.variables
+            dict.fromkeys(v for v in extra if v not in task.variables)
         )
         return replace(
             task,

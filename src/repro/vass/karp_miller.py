@@ -87,15 +87,6 @@ class KMNode:
     def label(self) -> tuple:
         return (self.state, self.vector)
 
-    def path_from_root(self) -> list["KMNode"]:
-        path: list[KMNode] = []
-        node: KMNode | None = self
-        while node is not None:
-            path.append(node)
-            node = node.parent
-        path.reverse()
-        return path
-
 
 @dataclass
 class KMGraph:

@@ -66,12 +66,3 @@ class VASS:
                 if value != 0
             }
             yield delta, action.target, action
-
-    def reachable_states(
-        self, start: State, budget: int = 100_000
-    ) -> set[State]:
-        """All control states coverable from (start, 0̄)."""
-        from repro.vass.karp_miller import build_km_graph
-
-        graph = build_km_graph(self, start, budget=budget)
-        return {node.state for node in graph.nodes}

@@ -78,6 +78,3 @@ class CompiledProperty:
         if self._root_negated is None:
             self._root_negated = build_automaton(NotF(self.prop.root.formula))
         return self._root_negated
-
-    def child_specs_of(self, task_name: str) -> tuple[HLTLSpec, ...]:
-        return self.phi.get(task_name, ())

@@ -65,6 +65,25 @@ class TestRegistry:
         reg.hit("after")
         assert "after" not in outer.features()
 
+    def test_inner_unit_equal_to_outer_detaches_itself(self):
+        """An inner unit whose features equal the outer's at exit (here
+        both empty) must detach its own set, not the outer's."""
+        reg = CoverageRegistry()
+        with reg.unit() as outer:
+            with reg.unit():
+                pass
+            reg.hit("a")
+        assert outer.features() == ("a",)
+
+    def test_outer_unit_that_fired_nothing_keeps_collecting(self):
+        reg = CoverageRegistry()
+        with reg.unit() as outer:
+            with reg.unit() as inner:
+                reg.hit("y")
+            reg.hit("z")
+        assert outer.features() == ("y", "z")
+        assert inner.features() == ("y",)
+
     def test_disabled_hits_are_dropped(self):
         reg = CoverageRegistry()
         reg.enabled = False

@@ -16,7 +16,7 @@ from repro.service.jobs import (
     VerificationJob,
     job_from_spec,
 )
-from repro.service.pool import execute_job, run_jobs
+from repro.service.pool import execute_job
 from repro.service.runner import run_batch
 from repro.service.suites import build_suite, suite_names
 from repro.service.cli import main as cli_main
@@ -123,7 +123,7 @@ class TestParallelParity:
 
     def test_run_jobs_order_is_input_order(self):
         jobs = _quick_jobs()
-        outcomes = run_jobs(jobs, workers=4)
+        outcomes = run_batch(jobs, workers=4).outcomes
         assert [o.name for o in outcomes] == [j.name for j in jobs]
 
 

@@ -11,10 +11,12 @@ re-verify" workflow the store accelerates.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -28,7 +30,7 @@ from repro.service.jobs import (
 )
 from repro.service.pool import execute_job
 from repro.service.summaries import decode_record
-from repro.verifier import Verifier, VerifierConfig, engine
+from repro.verifier import Verifier, VerifierConfig, engine, task_vass
 
 CONFIG = VerifierConfig(km_budget=60_000, time_limit_seconds=60.0)
 GEN_CONFIG = GenConfig(max_depth=3, max_children=2)
@@ -330,6 +332,42 @@ class TestLimitSoundness:
         assert r_capped.holds == r_default.holds
         assert r_capped.stats.km_nodes == r_default.stats.km_nodes
         assert r_capped.stats.summaries == r_default.stats.summaries
+
+    # the later deadline refuses after two child summaries completed
+    @pytest.mark.parametrize(("limit", "memoized"), [(5, 0), (25, 2)])
+    def test_deadline_refuses_with_partial_stats_and_a_sound_memo(
+        self, monkeypatch, limit, memoized
+    ):
+        """The deadline surfaces as BudgetExceeded like every other limit:
+        the refusal carries the states explored so far, every summary left
+        in the memo is complete, and the same Verifier then verifies
+        without the limit exactly as a fresh one does.  A clock that
+        advances 1 s per read makes the refusal point deterministic."""
+        sc = _scenario(6, 0)
+        unlimited = replace(CONFIG, time_limit_seconds=None)
+        fresh = Verifier(sc.has, unlimited)
+        expected = fresh.verify(sc.prop)
+
+        reads = itertools.count()
+        monkeypatch.setattr(task_vass.time, "monotonic", lambda: float(next(reads)))
+        verifier = Verifier(sc.has, replace(CONFIG, time_limit_seconds=limit))
+        with pytest.raises(BudgetExceeded, match="time limit") as refusal:
+            verifier.verify(sc.prop)
+        monkeypatch.undo()
+        assert refusal.value.states_explored > 0
+        assert len(verifier._summaries) == memoized
+        for key, summary in verifier._summaries.items():
+            reference = fresh._summaries[key]
+            assert list(summary.outputs) == list(reference.outputs)
+            assert summary.nonreturning == reference.nonreturning
+            assert summary.km_nodes == reference.km_nodes
+
+        verifier.config = unlimited
+        again = verifier.verify(sc.prop)
+        assert again.holds == expected.holds
+        assert again.witness_kind == expected.witness_kind
+        assert again.loop_start == expected.loop_start
+        assert again.witness == expected.witness
 
 
 # ----------------------------------------------------------------------

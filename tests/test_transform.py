@@ -117,6 +117,17 @@ class TestDesugarExists:
         assert not _contains_exists(post)
         validate_has(flat)
 
+    def test_two_services_binding_one_name_share_the_variable(self):
+        x, c, p = id_var("x"), id_var("c"), num_var("p")
+        services = tuple(
+            InternalService(name, post=Exists((c, p), RelationAtom("ITEMS", (c, p))))
+            for name in ("a", "b")
+        )
+        has = HAS(DB, Task(name="R", variables=(x,), services=services))
+        flat = desugar_exists(has)
+        assert flat.root.variables == (x, c, p)
+        validate_has(flat)
+
     def test_shadowing_exists_keeps_the_task_variable_free(self):
         """``∃x,p. ITEMS(x,p)`` in a task that owns ``x`` leaves the task's
         ``x`` unconstrained (it may be an OTHER id); hoisting must rename
